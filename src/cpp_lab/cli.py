@@ -46,7 +46,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--seed", type=int, help="RNG seed (generated and recorded if absent)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     p.add_argument("--output-dir", default=".", help="artifact directory")
     p.add_argument("--tag", help="artifact base name (default: task name)")
     p.add_argument("--max-states", type=int, default=measures.DEFAULT_STATE_GUARD,
@@ -58,14 +57,27 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if isinstance(loaded, dict):
+            loaded = loaded.get("config", loaded)
         if not isinstance(loaded, dict):
             raise ValidationError("config file must hold a JSON object")
-        cfg.update(loaded.get("config", loaded))
+        known = set(vars(args)) - {"config", "func"}
+        unknown = sorted(set(loaded) - known)
+        if unknown:
+            raise ValidationError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+        cfg.update(loaded)
     for key, value in vars(args).items():
         if key in ("config", "func") or value is None:
             continue
         cfg[key] = value
     return cfg
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
 def _build_complex(cfg: dict):
@@ -86,7 +98,7 @@ def _build_complex(cfg: dict):
     if widths is None:
         raise ValidationError("box geometry needs --widths or --side")
     if isinstance(widths, str):
-        widths = [int(w) for w in widths.split(",")]
+        widths = _int_list(widths, "--widths")
     return build_box(d, widths)
 
 
@@ -95,6 +107,9 @@ def _build_params(cfg: dict) -> measures.ModelParams:
     if q is None:
         raise ValidationError("missing --q")
     i = cfg.get("i", 1)
+    d = cfg["d"]
+    if not isinstance(i, int) or not 0 <= i < d:
+        raise ValidationError(f"--i must satisfy 0 <= i < d = {d}, got {i!r}")
     have_k = cfg.get("k2") is not None or cfg.get("k1") is not None
     have_p = cfg.get("p2") is not None or cfg.get("p1") is not None
     if have_k == have_p:
@@ -119,7 +134,9 @@ def _resolve_seed(cfg: dict) -> int:
     if seed is None:
         seed = secrets.randbits(48)
         cfg["seed"] = seed
-    return int(seed)
+    if not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"--seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def _mc_probs(params: measures.ModelParams) -> tuple[float, float]:
@@ -230,7 +247,7 @@ def cmd_wilson(args) -> int:
         res = sampler.run_chain(X, run, {
             "wilson": observables.wilson_observable(gamma, params.q),
             "vgamma": observables.vgamma_observable(gamma, params.q),
-        }, threads=cfg.get("threads", 1))
+        })
         w, v = res.estimates["wilson"], res.estimates["vgamma"]
         report = {
             "mode": "mc",
@@ -277,8 +294,7 @@ def cmd_sample(args) -> int:
     if isinstance(tokens, str):
         tokens = [t for t in tokens.split(",") if t]
     obs = _parse_observables(tokens, X, params.q)
-    result = sampler.run_chain(X, run, obs, keep_series=True,
-                               threads=cfg.get("threads", 1))
+    result = sampler.run_chain(X, run, obs, keep_series=True)
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     tag = cfg.get("tag", "sample")
@@ -304,15 +320,14 @@ def cmd_mf_ratio(args) -> int:
     seed = _resolve_seed(cfg)
     ns = cfg.get("n", "2,4,6")
     if isinstance(ns, str):
-        ns = [int(v) for v in ns.split(",")]
+        ns = _int_list(ns, "--n")
     p2, p1 = _mc_probs(params)
     run = sampler.RunConfig(q=params.q, i=params.i, p2=p2, p1=p1,
                             n_samples=cfg.get("samples", 2000),
                             burn_in=cfg.get("burn_in", 10_000),
                             thinning=cfg.get("thinning", 1), seed=seed,
                             n_chains=cfg.get("chains", 1))
-    rows = sampler.mf_ratio_scan(X, run, ns, route=cfg.get("route", "wilson"),
-                                 threads=cfg.get("threads", 1))
+    rows = sampler.mf_ratio_scan(X, run, ns, route=cfg.get("route", "wilson"))
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     tag = cfg.get("tag", "mf-ratio")
@@ -339,8 +354,7 @@ def cmd_duality_check(args) -> int:
         report = duality.verify_duality_mc(params, X,
                                            n_samples=cfg.get("sweeps", 100_000),
                                            burn_in=cfg.get("burn_in", 500),
-                                           seed=seed,
-                                           threads=cfg.get("threads", 1))
+                                           seed=seed)
         ok = report["max_z"] <= 4.0
         print(f"max |z| = {report['max_z']:.2f} over {len(report['checks'])} checks"
               f" -> {'ok' if ok else 'VIOLATION'}")

@@ -93,7 +93,7 @@ def duality_report(params: ModelParams, torus,
 
 
 def verify_duality_mc(params: ModelParams, torus, n_samples: int,
-                      burn_in: int = 200, seed: int = 0, threads: int = 1) -> dict:
+                      burn_in: int = 200, seed: int = 0) -> dict:
     """Statistical duality check via mean open-cell counts.
 
     Under the duality map |P1 dual| = n_i - |P1| and |P2 dual| counts the
@@ -111,8 +111,8 @@ def verify_duality_mc(params: ModelParams, torus, n_samples: int,
                     n_samples=n_samples, burn_in=burn_in, seed=seed)
     cfg_dual = RunConfig(q=dp.q, i=dp.i, p2=float(dp.p2), p1=float(dp.p1),
                          n_samples=n_samples, burn_in=burn_in, seed=seed + 1)
-    res = run_chain(torus, cfg, obs, threads=threads)
-    res_dual = run_chain(torus, cfg_dual, obs, threads=threads)
+    res = run_chain(torus, cfg, obs)
+    res_dual = run_chain(torus, cfg_dual, obs)
 
     n_i = torus.num_cells(i)
     n_ip1 = torus.num_cells(i + 1)

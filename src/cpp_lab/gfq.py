@@ -142,30 +142,6 @@ def solve(mat, b, q: int) -> np.ndarray | None:
 # GF(2) bit-packed rows: column j of a row is bit j of a python int.
 # ---------------------------------------------------------------------------
 
-def gf2_rref_bits(rows) -> dict[int, int]:
-    """Fully reduced echelon form of GF(2) rows given as ints.
-
-    Returns {pivot_col: row}; every pivot column appears in exactly one
-    returned row.  Pivot of a row is its lowest set bit.
-    """
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            low = (row & -row).bit_length() - 1
-            hit = pivots.get(low)
-            if hit is None:
-                pivots[low] = row
-                break
-            row ^= hit
-    # back-substitute so each pivot column is cleared from the other rows
-    for c in sorted(pivots, reverse=True):
-        r = pivots[c]
-        for c2, r2 in pivots.items():
-            if c2 != c and (r2 >> c) & 1:
-                pivots[c2] = r2 ^ r
-    return pivots
-
-
 def gf2_ref_bits(rows) -> dict[int, int]:
     """Row echelon form (not reduced): {pivot_col: row}, pivot = lowest bit."""
     pivots: dict[int, int] = {}
@@ -180,10 +156,6 @@ def gf2_ref_bits(rows) -> dict[int, int]:
     return pivots
 
 
-def gf2_rank_bits(rows) -> int:
-    return len(gf2_ref_bits(rows))
-
-
 def gf2_residual_bits(pivots: dict[int, int], vec: int) -> int:
     """Reduce vec against reduced rows; 0 iff vec is in their span."""
     while vec:
@@ -193,19 +165,6 @@ def gf2_residual_bits(pivots: dict[int, int], vec: int) -> int:
             return vec
         vec ^= hit
     return 0
-
-
-def gf2_kernel_basis_bits(pivots: dict[int, int], ncols: int) -> list[int]:
-    """Kernel basis (as bit rows) of the matrix whose RREF is `pivots`."""
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = 1 << fc
-        for pc, row in pivots.items():
-            if (row >> fc) & 1:
-                v |= 1 << pc
-        basis.append(v)
-    return basis
 
 
 def gf2_kernel_sample(pivots: dict[int, int], ncols: int, rng,

@@ -50,7 +50,10 @@ class CocycleSpace:
 
 def cocycle_matrix(pair: RelPair, q: int) -> np.ndarray:
     """Constraint matrix whose kernel is Z^i(P2, P1): one identity row per
-    open i-cell of P1, one coboundary row per open (i+1)-cell of P2."""
+    open i-cell of P1, one coboundary row per open (i+1)-cell of P2.
+
+    Dense test reference for `cocycle_system`; no production code calls it.
+    """
     X = pair.complex
     i = pair.i
     n_i = X.num_cells(i)
@@ -69,7 +72,10 @@ def cocycle_matrix(pair: RelPair, q: int) -> np.ndarray:
 
 
 def relative_cocycle_space(pair: RelPair, q: int) -> CocycleSpace:
-    """Basis of the compatible cochains Z^i(P2, P1) over GF(q)."""
+    """Basis of the compatible cochains Z^i(P2, P1) over GF(q).
+
+    Dense test reference for `cocycle_system`; no production code calls it.
+    """
     gfq.require_prime(q)
     basis = gfq.kernel_basis(cocycle_matrix(pair, q), q)
     return CocycleSpace(pair=pair, basis=basis, dim=basis.shape[0])
@@ -87,44 +93,98 @@ def _face_masks(X, j: int) -> list[int]:
         X._face_mask_cache = cache
     masks = cache.get(j)
     if masks is None:
-        faces, _ = X.incidence(j)
+        faces, signs = X.incidence(j)
         masks = []
-        for row in faces:
+        for row, row_signs in zip(faces, signs):
             m = 0
-            for f in row:
-                m ^= 1 << int(f)
+            for f, sign in zip(row, row_signs):
+                if sign % 2:
+                    m ^= 1 << int(f)
             masks.append(m)
         cache[j] = masks
     return masks
 
 
-def _pair_rank_gf2(X, i: int, bits2: int, bits1: int) -> int:
-    """Rank of the cocycle constraint system over GF(2)."""
+@dataclass(slots=True)
+class CocycleSystem:
+    """The coboundary rows of the open (i+1)-cells of P2, restricted to the
+    closed i-cells (those not open in P1) and eliminated over GF(q).
+
+    Open P1 cells are pinned to 0, so the kernel of these rows, extended by
+    zero, is Z^i(P2, P1).  For q = 2 `closed` is a bitmask over i-cell ids
+    and `pivots` the bitset echelon rows; for q > 2 `closed` holds the
+    closed ids in increasing order and `red` the dense RREF over them.
+    """
+
+    q: int
+    n_i: int
+    closed: int | np.ndarray
+    dim: int
+    pivots: dict[int, int] | None = None
+    red: gfq.RrefResult | None = None
+
+    def contains(self, gamma: Chain) -> bool:
+        """Whether gamma lies in the row space of the cocycle constraints,
+        i.e. bounds an (i+1)-chain of P2 rel P1 (the event V_gamma)."""
+        if self.q == 2:
+            gbits = 0
+            for idx, c in gamma.coeffs:
+                if c % 2:
+                    gbits |= 1 << idx
+            return gfq.gf2_residual_bits(self.pivots, gbits & self.closed) == 0
+        g = gamma.vector(self.n_i)[self.closed]
+        return not gfq.reduce_vector(self.red, g, self.q).any()
+
+    def sample(self, rng) -> np.ndarray:
+        """Uniform element of Z^i(P2, P1) as a dense cochain.
+
+        Free coordinates are drawn i.i.d. uniform in increasing column
+        order (no draw when dim = 0) and pivots follow from them, the same
+        stream as uniform coefficients on the dense kernel basis.
+        """
+        if self.q == 2:
+            bits = gfq.gf2_kernel_sample(self.pivots, self.n_i, rng, col_mask=self.closed)
+            return gfq.bits_to_vector(bits, self.n_i)
+        f = np.zeros(self.n_i, dtype=np.int64)
+        if self.dim:
+            pivot_cols = list(self.red.pivot_cols)
+            free = np.setdiff1d(np.arange(len(self.closed)), pivot_cols)
+            coeffs = rng.integers(0, self.q, size=self.dim)
+            f[self.closed[free]] = coeffs
+            f[self.closed[pivot_cols]] = -(self.red.matrix[:self.red.rank][:, free] @ coeffs) % self.q
+        return f
+
+
+def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
+    """The relative cocycle system of the pair given as bitsets: open
+    (i+1)-cells `bits2`, open i-cells `bits1`."""
     n_i = X.num_cells(i)
-    closed = ((1 << n_i) - 1) & ~bits1
-    masks = _face_masks(X, i + 1) if i + 1 <= X.d else []
-    rows = []
-    b2 = bits2
-    while b2:
-        s = (b2 & -b2).bit_length() - 1
-        rows.append(masks[s] & closed)
-        b2 &= b2 - 1
-    return bits1.bit_count() + gfq.gf2_rank_bits(rows)
+    if q == 2:
+        closed = ((1 << n_i) - 1) & ~bits1
+        masks = _face_masks(X, i + 1) if bits2 else []
+        # open cells in increasing id order, in time linear in the bit length
+        rows = [masks[s] & closed for s, c in enumerate(reversed(bin(bits2))) if c == "1"]
+        pivots = gfq.gf2_ref_bits(rows)
+        return CocycleSystem(q, n_i, closed, closed.bit_count() - len(pivots), pivots=pivots)
+    closed = np.flatnonzero(gfq.bits_to_vector(bits1, n_i) == 0)
+    mat = np.zeros((bits2.bit_count(), len(closed)), dtype=np.int64)
+    if bits2:
+        faces, signs = X.incidence(i + 1)
+        open2 = np.flatnonzero(gfq.bits_to_vector(bits2, len(faces)))
+        col = np.full(n_i, -1, dtype=np.int64)
+        col[closed] = np.arange(len(closed))
+        cols = col[faces[open2]]
+        # open P1 faces are pinned to 0 and dropped; coincident faces (period-1
+        # tori) sum; the zero-sign padding of explicit complexes adds nothing
+        r, k = np.nonzero(cols >= 0)
+        np.add.at(mat, (r, cols[r, k]), signs[open2[r], k])
+    red = gfq.rref(mat, q)
+    return CocycleSystem(q, n_i, closed, len(closed) - red.rank, red=red)
 
 
 def pair_cocycle_dim(X, i: int, q: int, bits2: int, bits1: int) -> int:
     """dim Z^i(P2, P1) for the pair given as bitsets; equals b_i(P2, P1)."""
-    n_i = X.num_cells(i)
-    if q == 2:
-        return n_i - _pair_rank_gf2(X, i, bits2, bits1)
-    n_next = X.num_cells(i + 1)
-    closed = [e for e in range(n_i) if not (bits1 >> e) & 1]
-    open2 = [s for s in range(n_next) if (bits2 >> s) & 1]
-    if not open2 or not closed:
-        return len(closed)
-    delta = X.boundary_matrix(i + 1, q).T
-    sub = delta[np.ix_(open2, closed)]
-    return len(closed) - gfq.rank(sub, q)
+    return cocycle_system(X, i, q, bits2, bits1).dim
 
 
 def _restricted_delta(X, j: int, q: int, dom_ids, cod_ids) -> np.ndarray:
@@ -201,24 +261,9 @@ def v_gamma(pair: RelPair, gamma: Chain, q: int) -> bool:
     Equivalent to solvability of [boundary | P1-inclusion] x = gamma, i.e.
     gamma lying in the row space of the cocycle constraint matrix.
     """
-    X = pair.complex
-    i = pair.i
-    if gamma.dim != i or gamma.q != q:
+    if gamma.dim != pair.i or gamma.q != q:
         raise DimensionMismatch("gamma has wrong dimension or modulus")
-    if q == 2:
-        n_i = X.num_cells(i)
-        closed = ((1 << n_i) - 1) & ~pair.P1.bits
-        masks = _face_masks(X, i + 1) if i + 1 <= X.d else []
-        rows = [masks[s] & closed for s in pair.P2.open_ids()]
-        gbits = 0
-        for idx, c in gamma.coeffs:
-            if c % 2:
-                gbits |= 1 << idx
-        return gfq.gf2_residual_bits(gfq.gf2_ref_bits(rows), gbits & closed) == 0
-    mat = cocycle_matrix(pair, q)
-    red = gfq.rref(mat, q)
-    res = gfq.reduce_vector(red, gamma.vector(X.num_cells(i)), q)
-    return not res.any()
+    return cocycle_system(pair.complex, pair.i, q, pair.P2.bits, pair.P1.bits).contains(gamma)
 
 
 def euler_characteristic(obj) -> int:

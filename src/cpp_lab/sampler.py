@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import gfq
+from . import gfq, homology
 from .complexes import PercSubcomplex
 from .errors import DegenerateDenominator, ValidationError
+from .measures import delta_cochain
 from .observables import Estimate, mf_ratio, rect_loop, vgamma_observable, wilson_observable
 
 ObservableFn = Callable[[np.ndarray, PercSubcomplex, PercSubcomplex], float]
@@ -71,19 +71,10 @@ def init_state(X, cfg: RunConfig, chain_index: int = 0) -> ChainState:
     )
 
 
-def _delta(f, X, i, q):
-    if i + 1 > X.d:
-        return np.zeros(0, dtype=np.int64)
-    faces, signs = X.incidence(i + 1)
-    if faces.shape[1] == 0:
-        return np.zeros(faces.shape[0], dtype=np.int64)
-    return (np.asarray(f)[faces] * signs).sum(axis=1) % q
-
-
 def resample_percolation(f, cfg: RunConfig, X, rng) -> tuple[PercSubcomplex, PercSubcomplex]:
     """Draw (P2, P1) given f: satisfied cells open independently."""
     i, q = cfg.i, cfg.q
-    df = _delta(f, X, i, q)
+    df = delta_cochain(f, X, i, q)
     open2 = (df == 0) & (rng.random(df.shape[0]) < cfg.p2)
     fv = np.asarray(f) % q
     open1 = (fv == 0) & (rng.random(fv.shape[0]) < cfg.p1)
@@ -95,28 +86,7 @@ def resample_percolation(f, cfg: RunConfig, X, rng) -> tuple[PercSubcomplex, Per
 
 def resample_spins(P2: PercSubcomplex, P1: PercSubcomplex, q: int, rng) -> np.ndarray:
     """Uniform draw from the compatible cochains Z^i(P2, P1)."""
-    X = P2.complex
-    i = P1.dim
-    n_i = X.num_cells(i)
-    if q == 2:
-        from .homology import _face_masks
-        masks = _face_masks(X, i + 1) if i + 1 <= X.d else []
-        closed = ((1 << n_i) - 1) & ~P1.bits
-        rows = []
-        b2 = P2.bits
-        while b2:
-            s = (b2 & -b2).bit_length() - 1
-            rows.append(masks[s] & closed)
-            b2 &= b2 - 1
-        pivots = gfq.gf2_ref_bits(rows)
-        bits = gfq.gf2_kernel_sample(pivots, n_i, rng, col_mask=closed)
-        return gfq.bits_to_vector(bits, n_i)
-    from .homology import RelPair, relative_cocycle_space
-    space = relative_cocycle_space(RelPair(P2, P1), q)
-    if space.dim == 0:
-        return np.zeros(n_i, dtype=np.int64)
-    coeffs = rng.integers(0, q, size=space.dim)
-    return (coeffs @ space.basis) % q
+    return homology.cocycle_system(P2.complex, P1.dim, q, P2.bits, P1.bits).sample(rng)
 
 
 def sweep(state: ChainState, cfg: RunConfig, X) -> ChainState:
@@ -172,21 +142,14 @@ def _run_one_chain(X, cfg: RunConfig, observables, chain_index: int) -> dict[str
 
 
 def run_chain(X, cfg: RunConfig, observables: dict[str, ObservableFn],
-              keep_series: bool = False, threads: int = 1) -> RunResult:
+              keep_series: bool = False) -> RunResult:
     """Run n_chains independent chains and pool their estimates.
 
-    Deterministic for a fixed (seed, config) regardless of thread count:
-    every chain owns its own generator and results are folded in chain
-    order.
+    Deterministic for a fixed (seed, config): every chain owns its own
+    generator and results are folded in chain order.
     """
-    if threads > 1 and cfg.n_chains > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_one_chain, X, cfg, observables, c)
-                       for c in range(cfg.n_chains)]
-            per_chain = [f.result() for f in futures]
-    else:
-        per_chain = [_run_one_chain(X, cfg, observables, c)
-                     for c in range(cfg.n_chains)]
+    per_chain = [_run_one_chain(X, cfg, observables, c)
+                 for c in range(cfg.n_chains)]
 
     estimates = {}
     series = {}
@@ -223,12 +186,11 @@ def sample_general_gauge(P2: PercSubcomplex, P1: PercSubcomplex, q: int, rng
         raise ValidationError("general gauge needs i >= 1")
     g = rng.integers(0, q, size=X.num_cells(i - 1)).astype(np.int64)
     h = resample_spins(P2, P1, q, rng)
-    f = (h + _delta(g, X, i - 1, q)) % q
+    f = (h + delta_cochain(g, X, i - 1, q)) % q
     return f, g
 
 
-def mf_ratio_scan(X, cfg: RunConfig, ns: list[int], route: str = "wilson",
-                  threads: int = 1) -> list[dict]:
+def mf_ratio_scan(X, cfg: RunConfig, ns: list[int], route: str = "wilson") -> list[dict]:
     """Finite-n Marcu-Fredenhagen ratios, one chain shared by all loops.
 
     route 'wilson' measures W variables on the spins; 'topological'
@@ -247,7 +209,7 @@ def mf_ratio_scan(X, cfg: RunConfig, ns: list[int], route: str = "wilson",
         make = wilson_observable if route == "wilson" else vgamma_observable
         observables[f"full_{n}"] = make(fam.gamma, cfg.q)
         observables[f"half_{n}"] = make(fam.gamma_prime, cfg.q)
-    result = run_chain(X, cfg, observables, threads=threads)
+    result = run_chain(X, cfg, observables)
     rows = []
     for n in ns:
         try:

@@ -165,3 +165,35 @@ def test_selftest_quick_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "all ok" in out
     assert "FAIL" not in out
+
+
+def test_negative_seed_rejected(tmp_path, capsys):
+    args = ["sample", *BASE_MODEL, "--samples", "5", "--burn-in", "1", "--seed", "-1"]
+    assert run_cli(args, tmp_path) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_non_integer_widths_rejected(tmp_path, capsys):
+    args = ["enumerate", *BASE_MODEL, "--widths", "2,x"]
+    assert run_cli(args, tmp_path) == 2
+    assert "--widths" in capsys.readouterr().err
+
+
+def test_spin_dimension_outside_complex_rejected(tmp_path, capsys):
+    args = ["sample", "--d", "2", "--q", "2", "--i", "5", "--widths", "2,2",
+            "--p2", "0.5", "--p1", "0.5", "--samples", "5", "--burn-in", "1",
+            "--seed", "1"]
+    assert run_cli(args, tmp_path) == 2
+    assert "0 <= i < d" in capsys.readouterr().err
+    assert not (tmp_path / "sample-series.csv").exists()
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    cfg = {"d": 2, "q": 2, "i": 1, "widths": "1,1", "p2": "0.5", "p1": "0.5",
+           "samples": 5, "burn-in": 3}
+    cfg_path = tmp_path / "conf.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["sample", "--config", str(cfg_path), "--seed", "1",
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "'burn-in'" in capsys.readouterr().err

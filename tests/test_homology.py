@@ -1,14 +1,21 @@
 """Cocycle spaces, Betti numbers, V_gamma, Euler characteristic, min area."""
+import copy
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cpp_lab import gfq
 from cpp_lab.complexes import (Chain, ExplicitComplex, PercSubcomplex,
                                boundary_chain, build_box, build_torus,
                                dual_subcomplex, two_squares_complex)
-from cpp_lab.homology import (RelPair, betti, euler_characteristic, min_area,
-                              rel_betti, relative_cocycle_space, v_gamma)
+from cpp_lab.homology import (RelPair, betti, cocycle_matrix, cocycle_system,
+                              euler_characteristic, min_area, rel_betti,
+                              relative_cocycle_space, v_gamma)
 from cpp_lab.errors import BudgetExceeded
+from cpp_lab.measures import delta_cochain
 
 
 def random_pair(X, i, rnd):
@@ -120,6 +127,75 @@ def test_gf2_and_generic_betti_paths_agree():
             pair = random_pair(X, 1, rnd)
             generic = X.num_cells(1) - gfq.rref(cocycle_matrix(pair, 2), 2).rank
             assert rel_betti(pair, 1, 2) == generic
+
+
+def triangle_and_square_complex() -> ExplicitComplex:
+    """A triangle and a square sharing edge e1; the triangle's incidence row
+    is padded with a zero-sign entry pointing at e0, one of its own faces."""
+    boundary = {
+        "e0": [("b", 1), ("a", -1)], "e1": [("c", 1), ("b", -1)],
+        "e2": [("a", 1), ("c", -1)], "e3": [("d", 1), ("c", -1)],
+        "e4": [("e", 1), ("d", -1)], "e5": [("b", 1), ("e", -1)],
+        "t": [("e0", 1), ("e1", 1), ("e2", 1)],
+        "s": [("e1", 1), ("e3", 1), ("e4", 1), ("e5", 1)],
+    }
+    return ExplicitComplex([list("abcde"), [f"e{k}" for k in range(6)], ["t", "s"]],
+                           boundary)
+
+
+RAGGED = triangle_and_square_complex()
+SYSTEM_COMPLEXES = (build_box(2, [2, 2]), build_torus(2, 1), build_torus(2, 2),
+                    build_torus(2, 3), build_box(3, [2, 2, 2]), RAGGED)
+
+
+@st.composite
+def pair_cases(draw):
+    X = draw(st.sampled_from(SYSTEM_COMPLEXES))
+    i = draw(st.sampled_from([0, 1]))
+    q = draw(st.sampled_from([2, 3, 5]))
+    n_i = X.num_cells(i)
+    bits2 = draw(st.integers(0, (1 << X.num_cells(i + 1)) - 1))
+    bits1 = draw(st.integers(0, (1 << n_i) - 1))
+    coeffs = draw(st.dictionaries(st.integers(0, n_i - 1), st.integers(1, q - 1),
+                                  max_size=4))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return X, i, q, bits2, bits1, Chain.build(i, q, coeffs), seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_cases())
+@example((RAGGED, 1, 2, 0b01, 0, Chain.zero(1, 2), 0))
+def test_cocycle_system_agrees_with_dense_reference(case):
+    X, i, q, bits2, bits1, gamma, seed = case
+    pair = RelPair(PercSubcomplex(X, i + 1, bits2), PercSubcomplex(X, i, bits1))
+    system = cocycle_system(X, i, q, bits2, bits1)
+    space = relative_cocycle_space(pair, q)
+    assert system.dim == space.dim
+
+    red = gfq.rref(cocycle_matrix(pair, q), q)
+    n_i = X.num_cells(i)
+    gammas = [gamma]
+    bmat = X.boundary_matrix(i + 1, q)
+    gammas += [Chain.build(i, q, enumerate(bmat[:, s])) for s in pair.P2.open_ids()[:2]]
+    for g in gammas:
+        dense = not gfq.reduce_vector(red, g.vector(n_i), q).any()
+        assert system.contains(g) == dense
+    for g in gammas[1:]:
+        assert system.contains(g)
+
+    rng = np.random.default_rng(seed)
+    clone = copy.deepcopy(rng)
+    f = system.sample(rng)
+    assert f.shape == (n_i,)
+    assert not f[pair.P1.open_ids()].any()
+    assert not delta_cochain(f, X, i, q)[pair.P2.open_ids()].any()
+    if q > 2:
+        # the stream contract: uniform coefficients on the dense kernel basis
+        expected = np.zeros(n_i, dtype=np.int64)
+        if space.dim:
+            expected = clone.integers(0, q, size=space.dim) @ space.basis % q
+        assert np.array_equal(f, expected)
+        assert rng.bit_generator.state == clone.bit_generator.state
 
 
 def test_v_gamma_trivial_cases():
