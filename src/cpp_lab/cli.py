@@ -52,11 +52,20 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="exact enumeration guard")
 
 
+def _read_json(path: str, flag: str):
+    if not isinstance(path, str):
+        raise ValidationError(f"{flag} needs a file name, got {path!r}")
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {flag} {path!r}: {exc}") from None
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     cfg: dict = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        loaded = _read_json(args.config, "--config")
         if isinstance(loaded, dict):
             loaded = loaded.get("config", loaded)
         if not isinstance(loaded, dict):
@@ -163,15 +172,28 @@ def _manifest(task: str, cfg: dict, outputs: list[str], outdir: Path,
     return path
 
 
-def _load_gamma(cfg: dict, X, q: int) -> Chain:
+def _load_gamma(cfg: dict, X, q: int, dim: int) -> Chain:
+    """The chain of --gamma-file, checked to be a dim-chain of X, or the
+    rectangular loop of --loop."""
     if cfg.get("gamma_file"):
-        with open(cfg["gamma_file"]) as fh:
-            data = json.load(fh)
-        return Chain.build(data["dim"], q,
-                           {int(k): v for k, v in data["coeffs"].items()})
+        data = _read_json(cfg["gamma_file"], "--gamma-file")
+        try:
+            coeffs = {int(k): v for k, v in data["coeffs"].items()}
+            ok = data["dim"] == dim and all(isinstance(v, int) for v in coeffs.values())
+        except (TypeError, KeyError, AttributeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValidationError(
+                f'--gamma-file must hold {{"dim": {dim}, "coeffs": {{"<id>": <int>}}}}')
+        outside = sorted(k for k in coeffs if not 0 <= k < X.num_cells(dim))
+        if outside:
+            raise ValidationError(f"--gamma-file cell ids {outside} lie outside the complex")
+        return Chain.build(dim, q, coeffs)
     n = cfg.get("loop")
     if n is None:
         raise ValidationError("give --loop N or --gamma-file")
+    if dim != 1:
+        raise ValidationError(f"--loop builds a 1-chain, but the spins live on {dim}-cells")
     return observables.rect_loop(n, X.d, X, q).gamma
 
 
@@ -222,7 +244,7 @@ def cmd_wilson(args) -> int:
     cfg = _merge_config(args)
     X = _build_complex(cfg)
     params = _build_params(cfg)
-    gamma = _load_gamma(cfg, X, params.q)
+    gamma = _load_gamma(cfg, X, params.q, params.i)
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.get("exact", False):
@@ -267,12 +289,16 @@ def _parse_observables(tokens, X, q: int) -> dict:
             obs[token] = observables.open_count_observable("P2")
         elif token == "open1":
             obs[token] = observables.open_count_observable("P1")
-        elif token.startswith("wilson:"):
-            fam = observables.rect_loop(int(token.split(":")[1]), X.d, X, q)
-            obs[token] = observables.wilson_observable(fam.gamma, q)
-        elif token.startswith("vgamma:"):
-            fam = observables.rect_loop(int(token.split(":")[1]), X.d, X, q)
-            obs[token] = observables.vgamma_observable(fam.gamma, q)
+        elif token.startswith(("wilson:", "vgamma:")):
+            kind, _, side = token.partition(":")
+            try:
+                n = int(side)
+            except ValueError:
+                raise ValidationError(
+                    f"observable {token!r} needs an integer loop side, e.g. {kind}:2") from None
+            make = observables.wilson_observable if kind == "wilson" \
+                else observables.vgamma_observable
+            obs[token] = make(observables.rect_loop(n, X.d, X, q).gamma, q)
         else:
             raise ValidationError(f"unknown observable {token!r}")
     return obs
@@ -379,7 +405,7 @@ def cmd_min_area(args) -> int:
     X = _build_complex(cfg)
     q = cfg.get("q", 2)
     gfq.require_prime(q)
-    gamma = _load_gamma(cfg, X, q)
+    gamma = _load_gamma(cfg, X, q, 1)
     area = homology.min_area(gamma, X, q, budget=cfg.get("budget", 1_000_000))
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)

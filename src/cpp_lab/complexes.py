@@ -1,8 +1,14 @@
-"""Cubical cell complexes: finite boxes in Z^d and discrete tori.
+"""Cell complexes: cubical boxes and discrete tori, and explicit complexes.
 
-Cells are axis-aligned unit cubes identified by (base corner, spanned
-axis set).  Ids are assigned lexicographically on (dirs, base), which
-keeps boundary matrices and RNG streams reproducible across runs.
+Both kinds share one core, `CellComplex`: a subclass lists its cells in
+id order and defines `boundary_of(cell)`, and the core derives the sparse
+incidence lists and, scattered from them, the boundary matrices.  All
+structure derived from a complex (also GF(2) face masks and exact pair
+tables) lives in its one `cache` dict, as long as the complex does.
+
+Cubical cells are axis-aligned unit cubes identified by (base corner,
+spanned axis set).  Ids are assigned lexicographically on (dirs, base),
+which keeps boundary matrices and RNG streams reproducible across runs.
 
 Boundary convention: a j-cell spanning axes u_1 < ... < u_j has
 
@@ -19,6 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import gfq
 from .errors import DimensionMismatch, InvalidDimension, NotATorus
 
 
@@ -31,7 +38,75 @@ class Cell(NamedTuple):
         return len(self.dirs)
 
 
-class CubicalComplex:
+class CellComplex:
+    """Shared core of a finite cell complex.
+
+    Subclasses set `kind` and `d`, pass the cell keys of each dimension in
+    id order to `__init__`, and define `boundary_of(cell)`.
+    """
+
+    kind: str
+    d: int
+
+    def __init__(self, cells: list[list]):
+        self._cells = cells
+        self._index = [{c: k for k, c in enumerate(level)} for level in cells]
+        self.cache: dict = {}
+
+    def num_cells(self, j: int) -> int:
+        if not 0 <= j <= self.d:
+            return 0
+        return len(self._cells[j])
+
+    def cell_counts(self) -> tuple[int, ...]:
+        return tuple(len(level) for level in self._cells)
+
+    def _width(self, j: int) -> int:
+        """Row width of `incidence(j)`: the longest boundary of a j-cell."""
+        return max((len(self.boundary_of(c)) for c in self._cells[j]), default=0)
+
+    def incidence(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Face ids and signs of every j-cell, shape (n_j, width) each.
+
+        Shorter boundaries are padded with sign-0 entries pointing at face 0.
+        """
+        key = ("incidence", j)
+        if key not in self.cache:
+            n = self.num_cells(j)
+            width = self._width(j)
+            faces = np.zeros((n, width), dtype=np.int64)
+            signs = np.zeros((n, width), dtype=np.int64)
+            idx = self._index[j - 1]
+            # filled row by row: collecting every boundary list first raises
+            # the peak memory of a large box by a few percent
+            for row, cell in enumerate(self._cells[j]):
+                for k, (face, sign) in enumerate(self.boundary_of(cell)):
+                    faces[row, k] = idx[face]
+                    signs[row, k] = sign
+            self.cache[key] = (faces, signs)
+        return self.cache[key]
+
+    def boundary_matrix_int(self, j: int) -> np.ndarray:
+        """Integer incidence matrix of the boundary map on j-cells.
+
+        Rows are (j-1)-cells, columns are j-cells.  Coincident faces (N=1
+        tori) have their signed multiplicities summed.
+        """
+        key = ("boundary", j)
+        if key not in self.cache:
+            if not 1 <= j <= self.d:
+                raise InvalidDimension(f"no boundary map for j = {j}")
+            faces, signs = self.incidence(j)
+            mat = np.zeros((self.num_cells(j - 1), len(faces)), dtype=np.int64)
+            np.add.at(mat, (faces, np.arange(len(faces))[:, None]), signs)
+            self.cache[key] = mat
+        return self.cache[key]
+
+    def boundary_matrix(self, j: int, q: int) -> np.ndarray:
+        return self.boundary_matrix_int(j) % q
+
+
+class CubicalComplex(CellComplex):
     """A finite box or discrete torus with all cells enumerated."""
 
     def __init__(self, kind: str, d: int, widths=None, period=None):
@@ -53,12 +128,7 @@ class CubicalComplex:
             self.period = period
         else:
             raise InvalidDimension(f"unknown kind {kind!r}")
-        self._cells: list[list[Cell]] = [self._enumerate(j) for j in range(d + 1)]
-        self._index: list[dict[Cell, int]] = [
-            {c: i for i, c in enumerate(level)} for level in self._cells
-        ]
-        self._bmat_cache: dict[int, np.ndarray] = {}
-        self._inc_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        super().__init__([self._enumerate(j) for j in range(d + 1)])
 
     def _base_range(self, axis: int, spanned: bool) -> range:
         if self.kind == "torus":
@@ -77,11 +147,6 @@ class CubicalComplex:
 
     # -- cell bookkeeping ---------------------------------------------------
 
-    def num_cells(self, j: int) -> int:
-        if not 0 <= j <= self.d:
-            return 0
-        return len(self._cells[j])
-
     def cells(self, j: int) -> list[Cell]:
         return self._cells[j]
 
@@ -90,9 +155,6 @@ class CubicalComplex:
 
     def cell_at(self, j: int, idx: int) -> Cell:
         return self._cells[j][idx]
-
-    def cell_counts(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self._cells)
 
     def normalize(self, cell: Cell) -> Cell:
         if self.kind == "torus":
@@ -119,41 +181,8 @@ class CubicalComplex:
             out.append((self.normalize(Cell(cell.base, sub)), -sign))
         return out
 
-    def boundary_matrix_int(self, j: int) -> np.ndarray:
-        """Integer incidence matrix of the boundary map on j-cells.
-
-        Rows are (j-1)-cells, columns are j-cells.  Coincident faces (N=1
-        tori) have their signed multiplicities summed.
-        """
-        if j in self._bmat_cache:
-            return self._bmat_cache[j]
-        if not 1 <= j <= self.d:
-            raise InvalidDimension(f"no boundary map for j = {j}")
-        mat = np.zeros((self.num_cells(j - 1), self.num_cells(j)), dtype=np.int64)
-        idx = self._index[j - 1]
-        for col, cell in enumerate(self._cells[j]):
-            for face, sign in self.boundary_of(cell):
-                mat[idx[face], col] += sign
-        self._bmat_cache[j] = mat
-        return mat
-
-    def boundary_matrix(self, j: int, q: int) -> np.ndarray:
-        return self.boundary_matrix_int(j) % q
-
-    def incidence(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Face ids and signs of every j-cell, shape (n_j, 2j) each."""
-        if j in self._inc_cache:
-            return self._inc_cache[j]
-        n = self.num_cells(j)
-        faces = np.zeros((n, 2 * j), dtype=np.int64)
-        signs = np.zeros((n, 2 * j), dtype=np.int64)
-        idx = self._index[j - 1]
-        for row, cell in enumerate(self._cells[j]):
-            for k, (face, sign) in enumerate(self.boundary_of(cell)):
-                faces[row, k] = idx[face]
-                signs[row, k] = sign
-        self._inc_cache[j] = (faces, signs)
-        return faces, signs
+    def _width(self, j: int) -> int:
+        return 2 * j
 
     # -- torus duality ---------------------------------------------------------
 
@@ -197,7 +226,7 @@ class PercSubcomplex:
     The full (j-1)-skeleton is implicitly contained.
     """
 
-    complex: CubicalComplex = field(repr=False)
+    complex: CellComplex = field(repr=False)
     dim: int
     bits: int
 
@@ -224,7 +253,7 @@ class PercSubcomplex:
         return bool((self.bits >> idx) & 1)
 
     def open_ids(self) -> list[int]:
-        return [i for i in range(self.complex.num_cells(self.dim)) if self.has(i)]
+        return gfq.bit_ids(self.bits)
 
     def with_cell(self, idx: int) -> "PercSubcomplex":
         return PercSubcomplex(self.complex, self.dim, self.bits | (1 << idx))
@@ -256,9 +285,8 @@ def dual_subcomplex(P: PercSubcomplex) -> PercSubcomplex:
         raise NotATorus("subcomplex duals are defined on tori only")
     j = P.dim
     bits = 0
-    for idx, cell in enumerate(X.cells(j)):
-        if not P.has(idx):
-            bits |= 1 << X.cell_id(X.bullet_dual(cell))
+    for idx in gfq.bit_ids(((1 << X.num_cells(j)) - 1) & ~P.bits):
+        bits |= 1 << X.cell_id(X.bullet_dual(X.cell_at(j, idx)))
     return PercSubcomplex(X, X.d - j, bits)
 
 
@@ -333,56 +361,21 @@ def chain_boundary(X, gamma: Chain) -> Chain:
 # Explicit complexes (hand-coded incidence lists) for non-cubical fixtures
 # ---------------------------------------------------------------------------
 
-class ExplicitComplex:
+class ExplicitComplex(CellComplex):
     """A finite cell complex given by named cells and signed boundaries."""
 
     def __init__(self, cell_names: Sequence[Sequence[str]],
                  boundary: dict[str, Sequence[tuple[str, int]]]):
         self.kind = "explicit"
         self.d = len(cell_names) - 1
-        self._names = [list(level) for level in cell_names]
-        self._ids = [{name: i for i, name in enumerate(level)} for level in self._names]
         self._boundary = dict(boundary)
-        self._bmat_cache: dict[int, np.ndarray] = {}
-        self._inc_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def num_cells(self, j: int) -> int:
-        if not 0 <= j <= self.d:
-            return 0
-        return len(self._names[j])
-
-    def cell_counts(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self._names)
+        super().__init__([list(level) for level in cell_names])
 
     def name_id(self, j: int, name: str) -> int:
-        return self._ids[j][name]
+        return self._index[j][name]
 
-    def boundary_matrix_int(self, j: int) -> np.ndarray:
-        if j in self._bmat_cache:
-            return self._bmat_cache[j]
-        mat = np.zeros((self.num_cells(j - 1), self.num_cells(j)), dtype=np.int64)
-        for col, name in enumerate(self._names[j]):
-            for face, sign in self._boundary.get(name, ()):
-                mat[self._ids[j - 1][face], col] += sign
-        self._bmat_cache[j] = mat
-        return mat
-
-    def boundary_matrix(self, j: int, q: int) -> np.ndarray:
-        return self.boundary_matrix_int(j) % q
-
-    def incidence(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        if j in self._inc_cache:
-            return self._inc_cache[j]
-        width = max((len(self._boundary.get(n, ())) for n in self._names[j]), default=0)
-        n = self.num_cells(j)
-        faces = np.zeros((n, width), dtype=np.int64)
-        signs = np.zeros((n, width), dtype=np.int64)
-        for row, name in enumerate(self._names[j]):
-            for k, (face, sign) in enumerate(self._boundary.get(name, ())):
-                faces[row, k] = self._ids[j - 1][face]
-                signs[row, k] = sign
-        self._inc_cache[j] = (faces, signs)
-        return faces, signs
+    def boundary_of(self, name: str) -> Sequence[tuple[str, int]]:
+        return self._boundary.get(name, ())
 
 
 def graph_complex(n_vertices: int, edges: Sequence[tuple[int, int]]) -> ExplicitComplex:

@@ -192,6 +192,12 @@ def gf2_kernel_sample(pivots: dict[int, int], ncols: int, rng,
     return x
 
 
+def bit_ids(bits: int) -> list[int]:
+    """Indices of the set bits of an int bitset in increasing order, in
+    time linear in its bit length."""
+    return [k for k, c in enumerate(reversed(bin(bits))) if c == "1"]
+
+
 def bits_to_vector(bits: int, n: int) -> np.ndarray:
     """Unpack an int bitset into a 0/1 vector of length n (bit j -> index j)."""
     raw = bits.to_bytes((n + 7) // 8 or 1, "little")

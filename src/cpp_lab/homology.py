@@ -82,17 +82,9 @@ def relative_cocycle_space(pair: RelPair, q: int) -> CocycleSpace:
 
 
 def _face_masks(X, j: int) -> list[int]:
-    """GF(2) boundary rows of j-cells as bit masks over (j-1)-cell ids.
-
-    Cached on the complex instance so the cache lives exactly as long as
-    the complex does.
-    """
-    cache = getattr(X, "_face_mask_cache", None)
-    if cache is None:
-        cache = {}
-        X._face_mask_cache = cache
-    masks = cache.get(j)
-    if masks is None:
+    """GF(2) boundary rows of j-cells as bit masks over (j-1)-cell ids."""
+    key = ("face_masks", j)
+    if key not in X.cache:
         faces, signs = X.incidence(j)
         masks = []
         for row, row_signs in zip(faces, signs):
@@ -101,8 +93,8 @@ def _face_masks(X, j: int) -> list[int]:
                 if sign % 2:
                     m ^= 1 << int(f)
             masks.append(m)
-        cache[j] = masks
-    return masks
+        X.cache[key] = masks
+    return X.cache[key]
 
 
 @dataclass(slots=True)
@@ -162,23 +154,11 @@ def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
     if q == 2:
         closed = ((1 << n_i) - 1) & ~bits1
         masks = _face_masks(X, i + 1) if bits2 else []
-        # open cells in increasing id order, in time linear in the bit length
-        rows = [masks[s] & closed for s, c in enumerate(reversed(bin(bits2))) if c == "1"]
+        rows = [masks[s] & closed for s in gfq.bit_ids(bits2)]
         pivots = gfq.gf2_ref_bits(rows)
         return CocycleSystem(q, n_i, closed, closed.bit_count() - len(pivots), pivots=pivots)
     closed = np.flatnonzero(gfq.bits_to_vector(bits1, n_i) == 0)
-    mat = np.zeros((bits2.bit_count(), len(closed)), dtype=np.int64)
-    if bits2:
-        faces, signs = X.incidence(i + 1)
-        open2 = np.flatnonzero(gfq.bits_to_vector(bits2, len(faces)))
-        col = np.full(n_i, -1, dtype=np.int64)
-        col[closed] = np.arange(len(closed))
-        cols = col[faces[open2]]
-        # open P1 faces are pinned to 0 and dropped; coincident faces (period-1
-        # tori) sum; the zero-sign padding of explicit complexes adds nothing
-        r, k = np.nonzero(cols >= 0)
-        np.add.at(mat, (r, cols[r, k]), signs[open2[r], k])
-    red = gfq.rref(mat, q)
+    red = gfq.rref(_restricted_delta(X, i, gfq.bit_ids(bits2), closed), q)
     return CocycleSystem(q, n_i, closed, len(closed) - red.rank, red=red)
 
 
@@ -187,13 +167,22 @@ def pair_cocycle_dim(X, i: int, q: int, bits2: int, bits1: int) -> int:
     return cocycle_system(X, i, q, bits2, bits1).dim
 
 
-def _restricted_delta(X, j: int, q: int, dom_ids, cod_ids) -> np.ndarray:
-    """Coboundary C^j -> C^(j+1) restricted to column ids dom_ids and row
-    ids cod_ids."""
-    if j + 1 > X.d or not len(dom_ids) or not len(cod_ids):
-        return np.zeros((len(cod_ids), len(dom_ids)), dtype=np.int64)
-    delta = X.boundary_matrix(j + 1, q).T
-    return delta[np.ix_(list(cod_ids), list(dom_ids))]
+def _restricted_delta(X, j: int, rows, cols) -> np.ndarray:
+    """Integer coboundary C^j -> C^(j+1), restricted to the (j+1)-cell ids
+    `rows` and the j-cell ids `cols`, scattered from `X.incidence(j + 1)`."""
+    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    if not len(rows) or not len(cols):
+        return mat
+    faces, signs = X.incidence(j + 1)
+    rows = np.asarray(rows, dtype=np.int64)
+    col = np.full(X.num_cells(j), -1, dtype=np.int64)
+    col[cols] = np.arange(len(cols))
+    sub = col[faces[rows]]
+    # faces outside `cols` are dropped; coincident faces (period-1 tori) sum;
+    # the zero-sign padding of explicit complexes adds nothing
+    r, k = np.nonzero(sub >= 0)
+    np.add.at(mat, (r, sub[r, k]), signs[rows[r], k])
+    return mat
 
 
 def subcomplex_cohomology_rank(X, s_cells: dict[int, set[int] | None],
@@ -216,10 +205,9 @@ def subcomplex_cohomology_rank(X, s_cells: dict[int, set[int] | None],
         return sorted(level(s_cells, k) - level(a_cells, k))
 
     dom = rel_ids(j)
-    up = _restricted_delta(X, j, q, dom, rel_ids(j + 1))
+    up = _restricted_delta(X, j, rel_ids(j + 1), dom)
     z_dim = len(dom) - gfq.rank(up, q)
-    down = _restricted_delta(X, j - 1, q, rel_ids(j - 1), dom) if j >= 1 else \
-        np.zeros((len(dom), 0), dtype=np.int64)
+    down = _restricted_delta(X, j - 1, dom, rel_ids(j - 1))
     return z_dim - gfq.rank(down, q)
 
 

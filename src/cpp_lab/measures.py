@@ -24,7 +24,7 @@ import numpy as np
 
 from . import gfq, homology
 from .complexes import Chain, PercSubcomplex, graph_complex
-from .errors import DegenerateParameter, TooLarge, ValidationError
+from .errors import DegenerateParameter, DimensionMismatch, TooLarge, ValidationError
 
 DEFAULT_STATE_GUARD = 1 << 26
 
@@ -85,14 +85,13 @@ class ModelParams:
 
 
 def delta_cochain(f, X, j: int, q: int) -> np.ndarray:
-    """Coboundary values (df)(sigma) = f(boundary sigma) on all (j+1)-cells."""
-    if j + 1 > X.d:
-        return np.zeros(0, dtype=np.int64)
-    faces, signs = X.incidence(j + 1)
-    if faces.shape[1] == 0:
-        return np.zeros(faces.shape[0], dtype=np.int64)
+    """Coboundary values (df)(sigma) = f(boundary sigma) on all (j+1)-cells,
+    taken over the last axis of f (leading axes are a batch)."""
     fv = np.asarray(f, dtype=np.int64)
-    return (fv[faces] * signs).sum(axis=1) % q
+    if j + 1 > X.d:
+        return np.zeros(fv.shape[:-1] + (0,), dtype=np.int64)
+    faces, signs = X.incidence(j + 1)
+    return (np.take(fv, faces, axis=-1) * signs).sum(axis=-1) % q
 
 
 def mu_weight(f, params: ModelParams, X) -> Fraction:
@@ -266,12 +265,7 @@ def mu_class_data(params: ModelParams, X,
     n_i = X.num_cells(i)
     F = all_cochains(n_i, q, max_states)
     z1 = (F == 0).sum(axis=1)
-    if i + 1 <= X.d and X.num_cells(i + 1):
-        faces, signs = X.incidence(i + 1)
-        dF = np.einsum("mjk,jk->mj", F[:, faces], signs) % q
-        z2 = (dF == 0).sum(axis=1)
-    else:
-        z2 = np.zeros(len(F), dtype=np.int64)
+    z2 = (delta_cochain(F, X, i, q) == 0).sum(axis=1)
     gvals = [(F @ g.vector(n_i)) % q for g in gammas]
     return F, z1, z2, gvals
 
@@ -298,53 +292,37 @@ def enumerate_mu(params: ModelParams, X,
     return Dist.from_weights(weights)
 
 
-def _instance_cache(X, name: str) -> dict:
-    cache = getattr(X, name, None)
-    if cache is None:
-        cache = {}
-        setattr(X, name, cache)
-    return cache
+def _state_table(X, key: tuple, i: int, q: int, dtype, value: Callable,
+                 max_states: int) -> np.ndarray:
+    """value(cocycle_system) for every pair state, indexed by
+    (bits2 << n1) | bits1, cached in X.cache under key."""
+    if key not in X.cache:
+        n1 = X.num_cells(i)
+        n2 = X.num_cells(i + 1)
+        _guard(1 << (n1 + n2), max_states)
+        out = np.zeros(1 << (n1 + n2), dtype=dtype)
+        for bits2 in range(1 << n2):
+            base = bits2 << n1
+            for bits1 in range(1 << n1):
+                out[base | bits1] = value(homology.cocycle_system(X, i, q, bits2, bits1))
+        X.cache[key] = out
+    return X.cache[key]
 
 
 def pair_betti_table(X, i: int, q: int,
                      max_states: int = DEFAULT_STATE_GUARD) -> np.ndarray:
     """b_i(P2, P1) for every pair, indexed by (bits2 << n1) | bits1."""
-    cache = _instance_cache(X, "_pair_table_cache")
-    cached = cache.get((i, q))
-    if cached is not None:
-        return cached
-    n1 = X.num_cells(i)
-    n2 = X.num_cells(i + 1)
-    _guard(1 << (n1 + n2), max_states)
-    out = np.zeros(1 << (n1 + n2), dtype=np.int16)
-    for bits2 in range(1 << n2):
-        base = bits2 << n1
-        for bits1 in range(1 << n1):
-            out[base | bits1] = homology.pair_cocycle_dim(X, i, q, bits2, bits1)
-    cache[(i, q)] = out
-    return out
+    return _state_table(X, ("pair_betti", i, q), i, q, np.int16,
+                        lambda system: system.dim, max_states)
 
 
 def vgamma_table(X, i: int, q: int, gamma: Chain,
                  max_states: int = DEFAULT_STATE_GUARD) -> np.ndarray:
     """V_gamma indicator for every pair, indexed like pair_betti_table."""
-    cache = _instance_cache(X, "_vgamma_cache")
-    key = (i, q, gamma.coeffs)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    n1 = X.num_cells(i)
-    n2 = X.num_cells(i + 1)
-    _guard(1 << (n1 + n2), max_states)
-    out = np.zeros(1 << (n1 + n2), dtype=bool)
-    for bits2 in range(1 << n2):
-        base = bits2 << n1
-        for bits1 in range(1 << n1):
-            pair = homology.RelPair(PercSubcomplex(X, i + 1, bits2),
-                                    PercSubcomplex(X, i, bits1))
-            out[base | bits1] = homology.v_gamma(pair, gamma, q)
-    cache[key] = out
-    return out
+    if gamma.dim != i or gamma.q != q:
+        raise DimensionMismatch("gamma has wrong dimension or modulus")
+    return _state_table(X, ("vgamma", i, q, gamma.coeffs), i, q, bool,
+                        lambda system: system.contains(gamma), max_states)
 
 
 def _k_pow_factors(k: KRat, n: int) -> list[Fraction | None]:

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from cpp_lab.cli import main
 
@@ -197,3 +198,33 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
                  "--output-dir", str(tmp_path)])
     assert code == 2
     assert "'burn-in'" in capsys.readouterr().err
+
+
+SAMPLE_22 = ["sample", "--d", "2", "--q", "2", "--i", "1", "--widths", "2,2",
+             "--p2", "0.5", "--p1", "0.5", "--samples", "5", "--burn-in", "1",
+             "--seed", "1"]
+MIN_AREA_22 = ["min-area", "--d", "2", "--q", "2", "--widths", "2,2"]
+
+
+@pytest.mark.parametrize("args,gamma,message", [
+    (SAMPLE_22 + ["--observables", "wilson:x"], None, "wilson:x"),
+    (SAMPLE_22 + ["--observables", "vgamma:x"], None, "vgamma:x"),
+    (SAMPLE_22 + ["--observables", "open2,wilson:"], None, "wilson:"),
+    (SAMPLE_22 + ["--config", "no-such-config.json"], None, "--config"),
+    (MIN_AREA_22 + ["--gamma-file", "no-such-gamma.json"], None, "--gamma-file"),
+    (MIN_AREA_22, {"dim": 1}, "--gamma-file"),
+    (MIN_AREA_22, {"dim": 1, "coeffs": {"999": 1}}, "999"),
+    (MIN_AREA_22, {"dim": 1, "coeffs": [1, 2]}, "--gamma-file"),
+    (["wilson", "--d", "2", "--q", "2", "--i", "0", "--widths", "3,3", "--p2", "0.5",
+      "--p1", "0.5", "--loop", "2", "--samples", "5", "--burn-in", "1", "--seed", "1"],
+     None, "--loop"),
+])
+def test_bad_cli_input_exits_2_with_a_message(args, gamma, message,
+                                              tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if gamma is not None:
+        (tmp_path / "gamma.json").write_text(json.dumps(gamma))
+        args = args + ["--gamma-file", "gamma.json"]
+    assert run_cli(args, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err

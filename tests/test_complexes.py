@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from cpp_lab import homology, measures
 from cpp_lab.complexes import (Cell, Chain, PercSubcomplex, boundary_chain,
                                build_box, build_torus, chain_boundary,
                                complex_from_json, complex_to_json,
                                dual_subcomplex, subcomplex_from_json,
                                subcomplex_to_json, two_squares_complex)
 from cpp_lab.errors import InvalidDimension, NotATorus
+from test_homology import triangle_and_square_complex
 
 
 def box_cell_count(widths, dirs):
@@ -89,6 +91,38 @@ def test_boundary_squared_zero_and_face_closure(X):
             for face, sign in X.boundary_of(cell):
                 assert abs(sign) == 1
                 X.cell_id(face)  # raises KeyError if not face-closed
+
+
+@pytest.mark.parametrize("X", [build_box(3, [2, 2, 2]), build_torus(2, 1),
+                               build_torus(2, 2), triangle_and_square_complex()])
+def test_boundary_matrix_matches_per_cell_accumulation(X):
+    for j in range(1, X.d + 1):
+        expected = np.zeros((X.num_cells(j - 1), X.num_cells(j)), dtype=np.int64)
+        for col, cell in enumerate(X._cells[j]):
+            for face, sign in X.boundary_of(cell):
+                expected[X._index[j - 1][face], col] += sign
+        assert np.array_equal(X.boundary_matrix_int(j), expected)
+
+
+def test_equal_complexes_share_no_cached_object():
+    X, Y = build_box(2, [2, 2]), build_box(2, [2, 2])
+    for Z in (X, Y):
+        Z.boundary_matrix_int(2)
+        homology.pair_cocycle_dim(Z, 1, 2, 0b1011, 0b101)
+    assert X.cache is not Y.cache
+    assert X.cache.keys() == Y.cache.keys()
+    for key in X.cache:
+        assert X.cache[key] is not Y.cache[key]
+    assert not np.shares_memory(X.incidence(2)[0], Y.incidence(2)[0])
+
+
+def test_exact_tables_live_in_the_single_cache():
+    X = build_box(2, [1, 1])
+    params = measures.ModelParams(q=2, i=1, k2=1, k1=1)
+    measures.exact_wilson(params, X, boundary_chain(X, X.cells(2)[0], 2))
+    assert [name for name in vars(X) if name.endswith("_cache")] == []
+    assert ("pair_betti", 1, 2) in X.cache
+    assert any(key[0] == "vgamma" for key in X.cache)
 
 
 def test_cell_id_round_trip():

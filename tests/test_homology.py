@@ -11,9 +11,9 @@ from cpp_lab import gfq
 from cpp_lab.complexes import (Chain, ExplicitComplex, PercSubcomplex,
                                boundary_chain, build_box, build_torus,
                                dual_subcomplex, two_squares_complex)
-from cpp_lab.homology import (RelPair, betti, cocycle_matrix, cocycle_system,
-                              euler_characteristic, min_area, rel_betti,
-                              relative_cocycle_space, v_gamma)
+from cpp_lab.homology import (RelPair, _restricted_delta, betti, cocycle_matrix,
+                              cocycle_system, euler_characteristic, min_area,
+                              rel_betti, relative_cocycle_space, v_gamma)
 from cpp_lab.errors import BudgetExceeded
 from cpp_lab.measures import delta_cochain
 
@@ -176,6 +176,10 @@ def test_cocycle_system_agrees_with_dense_reference(case):
     n_i = X.num_cells(i)
     gammas = [gamma]
     bmat = X.boundary_matrix(i + 1, q)
+    # the bitsets double as random row (i+1-cell) and column (i-cell) subsets
+    rows, cols = gfq.bit_ids(bits2), gfq.bit_ids(bits1)
+    assert np.array_equal(_restricted_delta(X, i, rows, cols) % q,
+                          bmat.T[np.ix_(rows, cols)])
     gammas += [Chain.build(i, q, enumerate(bmat[:, s])) for s in pair.P2.open_ids()[:2]]
     for g in gammas:
         dense = not gfq.reduce_vector(red, g.vector(n_i), q).any()

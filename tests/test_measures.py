@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from cpp_lab import measures as M
-from cpp_lab.complexes import (Chain, PercSubcomplex, boundary_chain,
-                               build_box)
-from cpp_lab.errors import (DegenerateParameter, TooLarge, ValidationError)
+from cpp_lab.complexes import (Chain, ExplicitComplex, PercSubcomplex,
+                               boundary_chain, build_box, build_torus)
+from cpp_lab.errors import (DegenerateParameter, DimensionMismatch, TooLarge,
+                            ValidationError)
 from cpp_lab.homology import RelPair, v_gamma
 from cpp_lab.observables import rect_loop
+from test_homology import triangle_and_square_complex
 
 SQUARE = build_box(2, [1, 1])
 BOX22 = build_box(2, [2, 2])
@@ -308,3 +310,26 @@ def test_dist_exports():
     data = rho.to_json(lambda k: f"{k[0]}:{k[1]}")
     assert data["total"]["num"] > 0
     assert len(data["entries"]) == len(rows)
+
+
+ONE_VERTEX_CIRCLE = ExplicitComplex([["v"], ["e"]], {})  # incidence(1) has width 0
+
+
+@pytest.mark.parametrize("X,j", [(BOX22, 0), (BOX22, 1), (BOX22, 2),
+                                 (build_torus(2, 1), 1),
+                                 (triangle_and_square_complex(), 1),
+                                 (ONE_VERTEX_CIRCLE, 0)])
+def test_delta_cochain_on_a_batch_matches_row_by_row(X, j):
+    q = 3
+    F = np.random.default_rng(j).integers(0, q, size=(5, X.num_cells(j)))
+    batch = M.delta_cochain(F, X, j, q)
+    assert batch.shape == (5, X.num_cells(j + 1))
+    for f, row in zip(F, batch):
+        assert np.array_equal(row, M.delta_cochain(f, X, j, q))
+
+
+def test_vgamma_table_rejects_gamma_of_wrong_dimension_or_modulus():
+    with pytest.raises(DimensionMismatch):
+        M.vgamma_table(SQUARE, 1, 2, Chain.build(0, 2, {0: 1}))
+    with pytest.raises(DimensionMismatch):
+        M.vgamma_table(SQUARE, 1, 2, Chain.build(1, 3, {0: 1}))
