@@ -22,8 +22,7 @@ import numpy as np
 
 from . import __version__, duality, gfq, homology, measures, observables, sampler
 from .complexes import (Chain, build_box, build_torus, complex_to_json)
-from .errors import (BudgetExceeded, CppLabError, DegenerateDenominator,
-                     DegenerateParameter, TooLarge, ValidationError)
+from .errors import BudgetExceeded, CppLabError, TooLarge, ValidationError
 
 MODEL_KEYS = ("q", "i", "d", "geometry", "widths", "side",
               "k2", "k1", "p2", "p1", "r")
@@ -62,7 +61,12 @@ def _read_json(path: str, flag: str):
         raise ValidationError(f"cannot read {flag} {path!r}: {exc}") from None
 
 
+_NOT_CONFIG = ("config", "func", "flag_types")
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
+    """Config file values, converted by the type of the matching flag,
+    overridden by the flags given."""
     cfg: dict = {}
     if getattr(args, "config", None):
         loaded = _read_json(args.config, "--config")
@@ -70,23 +74,34 @@ def _merge_config(args: argparse.Namespace) -> dict:
             loaded = loaded.get("config", loaded)
         if not isinstance(loaded, dict):
             raise ValidationError("config file must hold a JSON object")
-        known = set(vars(args)) - {"config", "func"}
+        known = set(vars(args)) - set(_NOT_CONFIG)
         unknown = sorted(set(loaded) - known)
         if unknown:
             raise ValidationError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
-        cfg.update(loaded)
+        for key, value in loaded.items():
+            convert = args.flag_types.get(key)
+            if convert is not None:
+                try:
+                    value = convert(str(value))
+                except ValueError:
+                    raise ValidationError(f"config key {key!r} needs a value of type "
+                                          f"{convert.__name__}, got {value!r}") from None
+            cfg[key] = value
     for key, value in vars(args).items():
-        if key in ("config", "func") or value is None:
+        if key in _NOT_CONFIG or value is None:
             continue
         cfg[key] = value
     return cfg
 
 
-def _int_list(text: str, flag: str) -> list[int]:
+def _int_list(value, flag: str) -> list[int]:
+    """A comma-separated string (from a flag) or a list (from a config
+    file) of integers."""
+    items = value.split(",") if isinstance(value, str) else value
     try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise ValidationError(f"{flag} needs comma-separated integers, got {text!r}") from None
+        return [int(v) for v in items]
+    except (TypeError, ValueError):
+        raise ValidationError(f"{flag} needs comma-separated integers, got {value!r}") from None
 
 
 def _build_complex(cfg: dict):
@@ -106,9 +121,15 @@ def _build_complex(cfg: dict):
         widths = [cfg["side"]] * d
     if widths is None:
         raise ValidationError("box geometry needs --widths or --side")
-    if isinstance(widths, str):
-        widths = _int_list(widths, "--widths")
-    return build_box(d, widths)
+    return build_box(d, _int_list(widths, "--widths"))
+
+
+def _fraction(cfg: dict, key: str) -> Fraction:
+    try:
+        return Fraction(str(cfg[key]))
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"--{key} needs an exact rational like 3/2, "
+                              f"got {cfg[key]!r}") from None
 
 
 def _build_params(cfg: dict) -> measures.ModelParams:
@@ -123,19 +144,15 @@ def _build_params(cfg: dict) -> measures.ModelParams:
     have_p = cfg.get("p2") is not None or cfg.get("p1") is not None
     if have_k == have_p:
         raise ValidationError("give exactly one of the (k2,k1) or (p2,p1) pairs")
-    r = Fraction(cfg["r"]) if cfg.get("r") is not None else None
-    try:
-        if have_k:
-            if cfg.get("k2") is None or cfg.get("k1") is None:
-                raise ValidationError("both --k2 and --k1 are required")
-            return measures.ModelParams(q=q, i=i, k2=Fraction(str(cfg["k2"])),
-                                        k1=Fraction(str(cfg["k1"])), r=r)
-        if cfg.get("p2") is None or cfg.get("p1") is None:
-            raise ValidationError("both --p2 and --p1 are required")
-        return measures.ModelParams.from_p(q, i, Fraction(str(cfg["p2"])),
-                                           Fraction(str(cfg["p1"])), r=r)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    r = _fraction(cfg, "r") if cfg.get("r") is not None else None
+    if have_k:
+        if cfg.get("k2") is None or cfg.get("k1") is None:
+            raise ValidationError("both --k2 and --k1 are required")
+        return measures.ModelParams(q=q, i=i, k2=_fraction(cfg, "k2"),
+                                    k1=_fraction(cfg, "k1"), r=r)
+    if cfg.get("p2") is None or cfg.get("p1") is None:
+        raise ValidationError("both --p2 and --p1 are required")
+    return measures.ModelParams.from_p(q, i, _fraction(cfg, "p2"), _fraction(cfg, "p1"), r=r)
 
 
 def _resolve_seed(cfg: dict) -> int:
@@ -148,8 +165,15 @@ def _resolve_seed(cfg: dict) -> int:
     return seed
 
 
-def _mc_probs(params: measures.ModelParams) -> tuple[float, float]:
-    return float(params.p2), float(params.p1)
+def _run_config(cfg: dict, params: measures.ModelParams,
+                default_samples: int) -> sampler.RunConfig:
+    """Chain settings of a Monte Carlo command; resolves the seed."""
+    return sampler.RunConfig(q=params.q, i=params.i,
+                             p2=float(params.p2), p1=float(params.p1),
+                             n_samples=cfg.get("samples", default_samples),
+                             burn_in=cfg.get("burn_in", 10_000),
+                             thinning=cfg.get("thinning", 1), seed=_resolve_seed(cfg),
+                             n_chains=cfg.get("chains", 1))
 
 
 def _manifest(task: str, cfg: dict, outputs: list[str], outdir: Path,
@@ -259,14 +283,7 @@ def cmd_wilson(args) -> int:
         print(f"rho(V)  = {report['percolation_side']}")
         print(f"|diff|  = {res.abs_difference:.3e}")
     else:
-        seed = _resolve_seed(cfg)
-        p2, p1 = _mc_probs(params)
-        run = sampler.RunConfig(q=params.q, i=params.i, p2=p2, p1=p1,
-                                n_samples=cfg.get("samples", 10_000),
-                                burn_in=cfg.get("burn_in", 10_000),
-                                thinning=cfg.get("thinning", 1), seed=seed,
-                                n_chains=cfg.get("chains", 1))
-        res = sampler.run_chain(X, run, {
+        res = sampler.run_chain(X, _run_config(cfg, params, 10_000), {
             "wilson": observables.wilson_observable(gamma, params.q),
             "vgamma": observables.vgamma_observable(gamma, params.q),
         })
@@ -309,13 +326,7 @@ def cmd_sample(args) -> int:
     cfg = _merge_config(args)
     X = _build_complex(cfg)
     params = _build_params(cfg)
-    seed = _resolve_seed(cfg)
-    p2, p1 = _mc_probs(params)
-    run = sampler.RunConfig(q=params.q, i=params.i, p2=p2, p1=p1,
-                            n_samples=cfg.get("samples", 1000),
-                            burn_in=cfg.get("burn_in", 10_000),
-                            thinning=cfg.get("thinning", 1), seed=seed,
-                            n_chains=cfg.get("chains", 1))
+    run = _run_config(cfg, params, 1000)
     tokens = cfg.get("observables", "open2,open1")
     if isinstance(tokens, str):
         tokens = [t for t in tokens.split(",") if t]
@@ -343,16 +354,8 @@ def cmd_mf_ratio(args) -> int:
     cfg = _merge_config(args)
     X = _build_complex(cfg)
     params = _build_params(cfg)
-    seed = _resolve_seed(cfg)
-    ns = cfg.get("n", "2,4,6")
-    if isinstance(ns, str):
-        ns = _int_list(ns, "--n")
-    p2, p1 = _mc_probs(params)
-    run = sampler.RunConfig(q=params.q, i=params.i, p2=p2, p1=p1,
-                            n_samples=cfg.get("samples", 2000),
-                            burn_in=cfg.get("burn_in", 10_000),
-                            thinning=cfg.get("thinning", 1), seed=seed,
-                            n_chains=cfg.get("chains", 1))
+    run = _run_config(cfg, params, 2000)
+    ns = _int_list(cfg.get("n", "2,4,6"), "--n")
     rows = sampler.mf_ratio_scan(X, run, ns, route=cfg.get("route", "wilson"))
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -575,6 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.set_defaults(func=cmd_selftest)
 
+    for p in sub.choices.values():
+        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type})
     return top
 
 
@@ -586,9 +591,6 @@ def main(argv=None) -> int:
     except (TooLarge, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, DegenerateParameter, DegenerateDenominator) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CppLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

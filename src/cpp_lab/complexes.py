@@ -19,7 +19,6 @@ the standard cubical convention; it satisfies boundary(boundary) = 0.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -258,9 +257,6 @@ class PercSubcomplex:
     def with_cell(self, idx: int) -> "PercSubcomplex":
         return PercSubcomplex(self.complex, self.dim, self.bits | (1 << idx))
 
-    def without_cell(self, idx: int) -> "PercSubcomplex":
-        return PercSubcomplex(self.complex, self.dim, self.bits & ~(1 << idx))
-
     def union(self, other: "PercSubcomplex") -> "PercSubcomplex":
         self._check_compatible(other)
         return PercSubcomplex(self.complex, self.dim, self.bits | other.bits)
@@ -445,6 +441,3 @@ def subcomplex_from_json(data: dict, X: CubicalComplex | None = None) -> PercSub
         X = complex_from_json(data["complex"])
     return PercSubcomplex.from_ids(X, data["dim"], data["open_ids"])
 
-
-def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True)

@@ -179,7 +179,7 @@ def gf2_kernel_sample(pivots: dict[int, int], ncols: int, rng,
     """
     if col_mask is None:
         col_mask = (1 << ncols) - 1
-    free = [c for c in range(ncols) if (col_mask >> c) & 1 and c not in pivots]
+    free = [c for c in bit_ids(col_mask) if c not in pivots]
     x = 0
     if free:
         draws = rng.integers(0, 2, size=len(free))

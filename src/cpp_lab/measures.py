@@ -5,12 +5,18 @@ Three coupled measures on a finite cell complex X with prime q:
   * mu    -- spin measure on i-cochains, weight (1+k1)^#{f=0} (1+k2)^#{df=0}
   * rho   -- percolation pair measure, weight k2^|P2| k1^|P1| r^{b_i(P2,P1)}
              (r = q is the plain model; other r give the auxiliary model)
-  * kappa -- the coupling on (f, P2, P1)
+  * kappa -- the coupling on (f, P2, P1), weight k2^|P2| k1^|P1| times
+             1{f = 0 on P1 and df = 0 on P2}
+
+So every pair and coupling weight is one per-count factor k2^a k1^c
+(a = |P2|, c = |P1|) times r^b or a compatibility test; the factor comes
+from `_k_pow_factors` alone.
 
 All oracle arithmetic is exact: parameters are rationals in the
-k = p/(1-p) coordinates, and p = 1 (infinite k) is carried as k = None,
-which forces the corresponding cells open.  Floating point appears only
-in Wilson phases for q > 3.
+k = p/(1-p) coordinates, and p = 1 (infinite k) is carried as k = None.
+Closed cells then have weight 1 - p = 0, so the factor vanishes unless
+every cell of that dimension is open.  Floating point appears only in
+Wilson phases for q > 3.
 """
 from __future__ import annotations
 
@@ -94,14 +100,34 @@ def delta_cochain(f, X, j: int, q: int) -> np.ndarray:
     return (np.take(fv, faces, axis=-1) * signs).sum(axis=-1) % q
 
 
+def _finite_k(params: ModelParams, what: str) -> tuple[Fraction, Fraction]:
+    if params.k2 is None or params.k1 is None:
+        raise DegenerateParameter(f"{what} requires finite k (p < 1)")
+    return params.k2, params.k1
+
+
+def _k_pow_factors(k: KRat, n: int) -> list[Fraction]:
+    """k^c for c = 0..n open cells out of n; at p = 1 (k = None) only the
+    full set, c = n, has nonzero weight."""
+    if k is None:
+        return [Fraction(0)] * n + [Fraction(1)]
+    return [k ** c for c in range(n + 1)]
+
+
+def _count_factor(params: ModelParams, X, a: int, c: int) -> Fraction:
+    """k2^a k1^c for a open (i+1)-cells and c open i-cells."""
+    i = params.i
+    return (_k_pow_factors(params.k2, X.num_cells(i + 1))[a]
+            * _k_pow_factors(params.k1, X.num_cells(i))[c])
+
+
 def mu_weight(f, params: ModelParams, X) -> Fraction:
     """Unnormalized spin weight, proportional to exp(-H(f))."""
-    if params.k2 is None or params.k1 is None:
-        raise DegenerateParameter("mu is not defined at p = 1 (infinite k)")
+    k2, k1 = _finite_k(params, "mu")
     fv = np.asarray(f, dtype=np.int64) % params.q
     z1 = int((fv == 0).sum())
     z2 = int((delta_cochain(fv, X, params.i, params.q) == 0).sum())
-    return (1 + params.k1) ** z1 * (1 + params.k2) ** z2
+    return (1 + k1) ** z1 * (1 + k2) ** z2
 
 
 def cpp_weight(P2: PercSubcomplex, P1: PercSubcomplex, params: ModelParams, X) -> Fraction:
@@ -110,65 +136,37 @@ def cpp_weight(P2: PercSubcomplex, P1: PercSubcomplex, params: ModelParams, X) -
     With k = None (p = 1) the weight is zero unless the corresponding
     subcomplex is full, matching the p-coordinate form of the measure.
     """
-    n2 = X.num_cells(params.i + 1)
-    n1 = X.num_cells(params.i)
-    if params.k2 is None:
-        w2 = Fraction(1 if P2.count == n2 else 0)
-    else:
-        w2 = params.k2 ** P2.count
-    if params.k1 is None:
-        w1 = Fraction(1 if P1.count == n1 else 0)
-    else:
-        w1 = params.k1 ** P1.count
-    if w2 == 0 or w1 == 0:
-        return Fraction(0)
+    w = _count_factor(params, X, P2.count, P1.count)
+    if w == 0:
+        return w
     b = homology.pair_cocycle_dim(X, params.i, params.q, P2.bits, P1.bits)
-    return w2 * w1 * params.r ** b
+    return w * params.r ** b
 
 
-def _site_factor(k: KRat, is_open: bool, indicator: bool) -> Fraction:
-    # closed cell: factor 1 for finite k, (1-p) = 0 at p = 1
-    if k is None:
-        return Fraction(1 if (is_open and indicator) else 0)
-    if not is_open:
-        return Fraction(1)
-    return k if indicator else Fraction(0)
+def _coupling_weight(f, dg, P2: PercSubcomplex, P1: PercSubcomplex,
+                     params: ModelParams, X) -> Fraction:
+    """k2^|P2| k1^|P1| if f = dg on every open i-cell and df = 0 on every
+    open (i+1)-cell, else 0."""
+    q, i = params.q, params.i
+    fv = np.asarray(f, dtype=np.int64) % q
+    ok1 = gfq.vector_to_bits(fv == dg)
+    ok2 = gfq.vector_to_bits(delta_cochain(fv, X, i, q) == 0)
+    if P1.bits & ~ok1 or P2.bits & ~ok2:
+        return Fraction(0)
+    return _count_factor(params, X, P2.count, P1.count)
 
 
 def kappa_weight(f, P2: PercSubcomplex, P1: PercSubcomplex, params: ModelParams, X) -> Fraction:
     """Coupling weight; zero iff some open cell violates its constraint."""
-    fv = np.asarray(f, dtype=np.int64) % params.q
-    df = delta_cochain(fv, X, params.i, params.q)
-    w = Fraction(1)
-    for e in range(X.num_cells(params.i)):
-        w *= _site_factor(params.k1, P1.has(e), fv[e] == 0)
-        if w == 0:
-            return w
-    for s in range(X.num_cells(params.i + 1)):
-        w *= _site_factor(params.k2, P2.has(s), df[s] == 0)
-        if w == 0:
-            return w
-    return w
+    return _coupling_weight(f, 0, P2, P1, params, X)
 
 
 def kappa_gauge_weight(f, g, P2: PercSubcomplex, P1: PercSubcomplex,
                        params: ModelParams, X) -> Fraction:
     """General-gauge coupling weight: the edge constraint is f = dg."""
-    q = params.q
-    fv = np.asarray(f, dtype=np.int64) % q
-    gv = np.asarray(g, dtype=np.int64) % q
-    dg = delta_cochain(gv, X, params.i - 1, q) if params.i >= 1 else np.zeros_like(fv)
-    df = delta_cochain(fv, X, params.i, q)
-    w = Fraction(1)
-    for e in range(X.num_cells(params.i)):
-        w *= _site_factor(params.k1, P1.has(e), fv[e] == dg[e])
-        if w == 0:
-            return w
-    for s in range(X.num_cells(params.i + 1)):
-        w *= _site_factor(params.k2, P2.has(s), df[s] == 0)
-        if w == 0:
-            return w
-    return w
+    q, i = params.q, params.i
+    dg = delta_cochain(np.asarray(g, dtype=np.int64) % q, X, i - 1, q) if i >= 1 else 0
+    return _coupling_weight(f, dg, P2, P1, params, X)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +203,6 @@ class Dist:
 
     def expectation(self, fn: Callable) -> Fraction:
         return sum((w * Fraction(fn(k)) for k, w in self.entries.items()),
-                   Fraction(0)) / self.total
-
-    def event_prob(self, pred: Callable) -> Fraction:
-        return sum((w for k, w in self.entries.items() if pred(k)),
                    Fraction(0)) / self.total
 
     def max_discrepancy(self, other: "Dist", key_map: Callable = lambda k: k) -> Fraction:
@@ -271,12 +265,11 @@ def mu_class_data(params: ModelParams, X,
 
 
 def _mu_weight_table(params: ModelParams, X) -> list[list[Fraction]]:
+    k2, k1 = _finite_k(params, "mu")
     n1 = X.num_cells(params.i)
     n2 = X.num_cells(params.i + 1)
-    if params.k1 is None or params.k2 is None:
-        raise DegenerateParameter("mu is not defined at p = 1")
-    a = 1 + params.k1
-    b = 1 + params.k2
+    a = 1 + k1
+    b = 1 + k2
     return [[a ** z1 * b ** z2 for z2 in range(n2 + 1)] for z1 in range(n1 + 1)]
 
 
@@ -325,13 +318,6 @@ def vgamma_table(X, i: int, q: int, gamma: Chain,
                         lambda system: system.contains(gamma), max_states)
 
 
-def _k_pow_factors(k: KRat, n: int) -> list[Fraction | None]:
-    """k^c for c = 0..n, or the p = 1 convention (only the full state counts)."""
-    if k is None:
-        return [Fraction(0)] * n + [Fraction(1)]
-    return [k ** c for c in range(n + 1)]
-
-
 def enumerate_rho(params: ModelParams, X,
                   max_states: int = DEFAULT_STATE_GUARD) -> Dist:
     """Exact pair distribution; keys are (bits2, bits1)."""
@@ -339,27 +325,44 @@ def enumerate_rho(params: ModelParams, X,
     n1 = X.num_cells(i)
     n2 = X.num_cells(i + 1)
     table = pair_betti_table(X, i, q, max_states)
-    w2 = _k_pow_factors(params.k2, n2)
-    w1 = _k_pow_factors(params.k1, n1)
+    # W[a][c][b] = k2^a k1^c r^b: the weight of every state with |P2| = a,
+    # |P1| = c and b_i = b
     rpow = [params.r ** b for b in range(n1 + 1)]
+    W = [[[w2 * w1 * rb for rb in rpow] for w1 in _k_pow_factors(params.k1, n1)]
+         for w2 in _k_pow_factors(params.k2, n2)]
+    pop1 = [bits1.bit_count() for bits1 in range(1 << n1)]
     weights = {}
     for bits2 in range(1 << n2):
-        f2 = w2[bits2.bit_count()]
-        if f2 == 0:
-            continue
-        base = bits2 << n1
-        for bits1 in range(1 << n1):
-            f1 = w1[bits1.bit_count()]
-            if f1 == 0:
-                continue
-            weights[(bits2, bits1)] = f2 * f1 * rpow[int(table[base | bits1])]
+        W2 = W[bits2.bit_count()]
+        betti = table[bits2 << n1:(bits2 + 1) << n1].tolist()
+        for bits1, (c, b) in enumerate(zip(pop1, betti)):
+            w = W2[c][b]
+            if w:
+                weights[(bits2, bits1)] = w
     return Dist.from_weights(weights)
 
 
-def _finite_k(params: ModelParams, what: str) -> tuple[Fraction, Fraction]:
-    if params.k2 is None or params.k1 is None:
-        raise DegenerateParameter(f"{what} requires finite k (p < 1)")
-    return params.k2, params.k1
+def _submasks(mask: int):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def _submask_pairs(mask2: int, mask1: int):
+    for bits1 in _submasks(mask1):
+        for bits2 in _submasks(mask2):
+            yield bits2, bits1
+
+
+def _coupling_states(F: np.ndarray, X, i: int, q: int):
+    """Each cochain f (a row of F) with the (bits2, bits1) pairs of
+    positive coupling weight: P2 within {df = 0}, P1 within {f = 0}."""
+    zeros2 = delta_cochain(F, X, i, q) == 0
+    for row, z1, z2 in zip(F, F == 0, zeros2):
+        yield row, _submask_pairs(gfq.vector_to_bits(z2), gfq.vector_to_bits(z1))
 
 
 def enumerate_kappa(params: ModelParams, X,
@@ -376,36 +379,15 @@ def enumerate_kappa(params: ModelParams, X,
     n1 = X.num_cells(i)
     n2 = X.num_cells(i + 1)
     _guard(q ** n1 << (n1 + n2), max_states)
-    F, _, _, _ = mu_class_data(params, X, (), max_states)
-    pw1 = [k1 ** c for c in range(n1 + 1)]
-    pw2 = [k2 ** c for c in range(n2 + 1)]
+    F = all_cochains(n1, q, max_states)
+    pw1 = _k_pow_factors(k1, n1)
+    pw2 = _k_pow_factors(k2, n2)
     weights = {}
-    for row in F:
+    for row, pairs in _coupling_states(F, X, i, q):
         fkey = tuple(int(v) for v in row)
-        zmask1 = _zero_mask(row)
-        zmask2 = _zero_mask(delta_cochain(row, X, i, q))
-        for bits1 in _submasks(zmask1):
-            wf1 = pw1[bits1.bit_count()]
-            for bits2 in _submasks(zmask2):
-                weights[(fkey, bits2, bits1)] = wf1 * pw2[bits2.bit_count()]
+        for bits2, bits1 in pairs:
+            weights[(fkey, bits2, bits1)] = pw1[bits1.bit_count()] * pw2[bits2.bit_count()]
     return Dist.from_weights(weights)
-
-
-def _zero_mask(values) -> int:
-    mask = 0
-    for idx, v in enumerate(values):
-        if int(v) == 0:
-            mask |= 1 << idx
-    return mask
-
-
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def kappa_marginals(params: ModelParams, X,
@@ -431,18 +413,12 @@ def kappa_marginals(params: ModelParams, X,
     pw2 = [k2.numerator ** c * k2.denominator ** (n2 - c) for c in range(n2 + 1)]
     marg_f: dict = {}
     marg_pair: dict = {}
-    for row in F:
-        zmask1 = _zero_mask(row)
-        zmask2 = _zero_mask(delta_cochain(row, X, i, q))
+    for row, pairs in _coupling_states(F, X, i, q):
         tot_f = 0
-        for bits1 in _submasks(zmask1):
-            w1 = pw1[bits1.bit_count()]
-            for bits2 in _submasks(zmask2):
-                w = w1 * pw2[bits2.bit_count()]
-                tot_f += w
-                pk = (bits2, bits1)
-                prev = marg_pair.get(pk)
-                marg_pair[pk] = w if prev is None else prev + w
+        for bits2, bits1 in pairs:
+            w = pw1[bits1.bit_count()] * pw2[bits2.bit_count()]
+            tot_f += w
+            marg_pair[(bits2, bits1)] = marg_pair.get((bits2, bits1), 0) + w
         marg_f[tuple(int(v) for v in row)] = tot_f
     return Dist.from_weights(marg_f), Dist.from_weights(marg_pair)
 
@@ -537,24 +513,21 @@ def ghost_vertex_check(params: ModelParams, n_vertices: int,
 
     ghost_edges = list(edges) + [(v, n_vertices) for v in range(n_vertices)]
     Gp = graph_complex(n_vertices + 1, ghost_edges)
-    k_by_edge = [k2] * ne + [k1] * n_vertices
+    pw2 = _k_pow_factors(k2, ne)
+    pw1 = _k_pow_factors(k1, n_vertices)
 
     for f in itertools.product(range(q), repeat=n_vertices):
         fv = np.array(f, dtype=np.int64)
-        fpv = np.concatenate([fv, [0]])
-        dfp = delta_cochain(fpv, Gp, 0, q)
+        # G' weight: the edge test df' = 0 on every open edge of G', the
+        # ghost edge to v being open iff v is in P1
+        okp = gfq.vector_to_bits(delta_cochain(np.concatenate([fv, [0]]), Gp, 0, q) == 0)
         for bits2 in range(1 << ne):
             for bits1 in range(1 << n_vertices):
                 P2 = PercSubcomplex(G, 1, bits2)
                 P1 = PercSubcomplex(G, 0, bits1)
                 w = kappa_weight(fv, P2, P1, params, G)
                 pbits = bits2 | (bits1 << ne)
-                wp = Fraction(1)
-                for e in range(ne + n_vertices):
-                    wp *= _site_factor(k_by_edge[e], bool((pbits >> e) & 1),
-                                       int(dfp[e]) == 0)
-                    if wp == 0:
-                        break
+                wp = 0 if pbits & ~okp else pw2[bits2.bit_count()] * pw1[bits1.bit_count()]
                 if w != wp:
                     return False
     return True

@@ -204,6 +204,8 @@ SAMPLE_22 = ["sample", "--d", "2", "--q", "2", "--i", "1", "--widths", "2,2",
              "--p2", "0.5", "--p1", "0.5", "--samples", "5", "--burn-in", "1",
              "--seed", "1"]
 MIN_AREA_22 = ["min-area", "--d", "2", "--q", "2", "--widths", "2,2"]
+CONFIG_22 = {"d": 2, "q": 2, "i": 1, "widths": "2,2", "p2": "0.5", "p1": "0.5",
+             "samples": 5, "burn_in": 1, "seed": 1}
 
 
 @pytest.mark.parametrize("args,gamma,message", [
@@ -218,13 +220,35 @@ MIN_AREA_22 = ["min-area", "--d", "2", "--q", "2", "--widths", "2,2"]
     (["wilson", "--d", "2", "--q", "2", "--i", "0", "--widths", "3,3", "--p2", "0.5",
       "--p1", "0.5", "--loop", "2", "--samples", "5", "--burn-in", "1", "--seed", "1"],
      None, "--loop"),
+    (SAMPLE_22 + ["--r", "abc"], None, "--r"),
+    (SAMPLE_22 + ["--p2", "1/0"], None, "--p2"),
+    (["enumerate", *BASE_MODEL, "--k2", "1/0"], None, "--k2"),
+    (["sample", "--config", {**CONFIG_22, "q": "three"}], None, "'q'"),
+    (["sample", "--config", {**CONFIG_22, "d": "two"}], None, "'d'"),
+    (["sample", "--config", {**CONFIG_22, "samples": 2.5}], None, "'samples'"),
+    (["sample", "--config", {**CONFIG_22, "widths": [1, "x"]}], None, "--widths"),
 ])
 def test_bad_cli_input_exits_2_with_a_message(args, gamma, message,
                                               tmp_path, monkeypatch, capsys):
+    """A dict in args is written to a file whose name takes its place."""
     monkeypatch.chdir(tmp_path)
     if gamma is not None:
         (tmp_path / "gamma.json").write_text(json.dumps(gamma))
         args = args + ["--gamma-file", "gamma.json"]
+    config = next((a for a in args if isinstance(a, dict)), None)
+    if config is not None:
+        (tmp_path / "conf.json").write_text(json.dumps(config))
+        args = ["conf.json" if a is config else a for a in args]
     assert run_cli(args, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def test_config_values_convert_like_their_flags(tmp_path):
+    cfg = {**CONFIG_22, "q": "2", "d": "2", "samples": "5", "widths": [2, 2]}
+    (tmp_path / "conf.json").write_text(json.dumps(cfg))
+    assert main(["sample", "--config", str(tmp_path / "conf.json"), "--tag", "cfg",
+                 "--output-dir", str(tmp_path)]) == 0
+    assert run_cli(SAMPLE_22 + ["--tag", "flags"], tmp_path) == 0
+    assert ((tmp_path / "cfg-series.csv").read_bytes()
+            == (tmp_path / "flags-series.csv").read_bytes())

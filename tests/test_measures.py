@@ -11,7 +11,7 @@ from cpp_lab.complexes import (Chain, ExplicitComplex, PercSubcomplex,
                                boundary_chain, build_box, build_torus)
 from cpp_lab.errors import (DegenerateParameter, DimensionMismatch, TooLarge,
                             ValidationError)
-from cpp_lab.homology import RelPair, v_gamma
+from cpp_lab.homology import RelPair, pair_cocycle_dim, v_gamma
 from cpp_lab.observables import rect_loop
 from test_homology import triangle_and_square_complex
 
@@ -71,6 +71,45 @@ def test_kappa_weight_worked_values():
     f_bad = np.array([1, 0, 0, 0])
     P1 = PercSubcomplex.from_ids(SQUARE, 1, [0])
     assert M.kappa_weight(f_bad, empty2, P1, p, SQUARE) == 0
+
+
+def _site_rule(k, is_open, ok):
+    """Per-cell factor of the coupling: an open cell gives k if its
+    constraint holds and 0 if not, a closed cell gives 1 - p (1, or 0 at
+    p = 1, k = None) in the k-coordinates."""
+    if k is None:
+        return Fraction(int(is_open and ok))
+    if not is_open:
+        return Fraction(1)
+    return k if ok else Fraction(0)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_weights_match_the_per_cell_rule_at_boundary_parameters(q):
+    X = SQUARE
+    n1, n2 = X.num_cells(1), X.num_cells(2)
+    g0 = np.zeros(X.num_cells(0), dtype=int)
+    for k2, k1 in itertools.product([Fraction(0), Fraction(1, 2), None], repeat=2):
+        p = params(q=q, k2=k2, k1=k1)
+        for bits2, bits1 in itertools.product(range(1 << n2), range(1 << n1)):
+            P2, P1 = PercSubcomplex(X, 2, bits2), PercSubcomplex(X, 1, bits1)
+            factor = Fraction(1)
+            for e in range(n1):
+                factor *= _site_rule(k1, P1.has(e), True)
+            for s in range(n2):
+                factor *= _site_rule(k2, P2.has(s), True)
+            b = pair_cocycle_dim(X, 1, q, bits2, bits1)
+            assert M.cpp_weight(P2, P1, p, X) == factor * Fraction(q) ** b
+            for f in itertools.product(range(q), repeat=n1):
+                fv = np.array(f)
+                df = M.delta_cochain(fv, X, 1, q)
+                ref = Fraction(1)
+                for e in range(n1):
+                    ref *= _site_rule(k1, P1.has(e), fv[e] == 0)
+                for s in range(n2):
+                    ref *= _site_rule(k2, P2.has(s), df[s] == 0)
+                assert M.kappa_weight(fv, P2, P1, p, X) == ref
+                assert M.kappa_gauge_weight(fv, g0, P2, P1, p, X) == ref
 
 
 def test_enumerate_mu_single_square_counts():
