@@ -109,6 +109,8 @@ def _build_complex(cfg: dict):
     if d is None:
         raise ValidationError("missing --d")
     geometry = cfg.get("geometry", "box")
+    if geometry not in ("box", "torus"):
+        raise ValidationError(f"'geometry' must be 'box' or 'torus', got {geometry!r}")
     if geometry == "torus":
         side = cfg.get("side")
         if side is None:

@@ -118,26 +118,6 @@ def reduce_vector(red: RrefResult, vec, q: int) -> np.ndarray:
     return v
 
 
-def solve(mat, b, q: int) -> np.ndarray | None:
-    """One solution of mat @ x = b over GF(q), or None if inconsistent.
-
-    Free variables are set to 0.
-    """
-    m = asarray_mod(mat, q)
-    bv = np.asarray(b, dtype=np.int64) % q
-    if bv.shape != (m.shape[0],):
-        raise DimensionMismatch(f"rhs length {bv.shape} vs {m.shape[0]} rows")
-    aug = np.concatenate([m, bv[:, None]], axis=1)
-    red = rref(aug, q)
-    n = m.shape[1]
-    if n in red.pivot_cols:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for r, pc in enumerate(red.pivot_cols):
-        x[pc] = red.matrix[r, n]
-    return x
-
-
 # ---------------------------------------------------------------------------
 # GF(2) bit-packed rows: column j of a row is bit j of a python int.
 # ---------------------------------------------------------------------------

@@ -279,11 +279,8 @@ def min_area(gamma: Chain, X, q: int, budget: int = 1_000_000) -> int | None:
         raise DimensionMismatch("min_area expects a 1-chain")
     if not gamma.coeffs:
         return 0
-    n1 = X.num_cells(1)
     n2 = X.num_cells(2)
-    gvec = gamma.vector(n1)
-    bmat = X.boundary_matrix(2, q)
-    if gfq.solve(bmat, gvec, q) is None:
+    if not cocycle_system(X, 1, q, (1 << n2) - 1, 0).contains(gamma):
         return None
     examined = 0
     for k in range(1, n2 + 1):
@@ -291,6 +288,6 @@ def min_area(gamma: Chain, X, q: int, budget: int = 1_000_000) -> int | None:
             examined += 1
             if examined > budget:
                 raise BudgetExceeded(f"min_area examined {budget} subsets")
-            if gfq.solve(bmat[:, list(subset)], gvec, q) is not None:
+            if cocycle_system(X, 1, q, sum(1 << s for s in subset), 0).contains(gamma):
                 return k
     return None

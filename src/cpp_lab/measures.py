@@ -12,6 +12,10 @@ So every pair and coupling weight is one per-count factor k2^a k1^c
 (a = |P2|, c = |P1|) times r^b or a compatibility test; the factor comes
 from `_k_pow_factors` alone.
 
+Both sides of the Wilson identity E_mu[W_gamma] = rho(V_gamma) are
+class-count sums (`_class_sum`): pair states counted by (|P2|, |P1|, b_i),
+cochains by (z1, z2, f(gamma)), each count times its class weight.
+
 All oracle arithmetic is exact: parameters are rationals in the
 k = p/(1-p) coordinates, and p = 1 (infinite k) is carried as k = None.
 Closed cells then have weight 1 - p = 0, so the factor vanishes unless
@@ -182,7 +186,7 @@ class Dist:
 
     @classmethod
     def from_weights(cls, weights: dict) -> "Dist":
-        entries = {k: Fraction(w) for k, w in weights.items() if w}
+        entries = {k: w for k, w in weights.items() if w}
         total = sum(entries.values(), Fraction(0))
         if total <= 0:
             raise ValidationError("distribution has zero total weight")
@@ -318,28 +322,34 @@ def vgamma_table(X, i: int, q: int, gamma: Chain,
                         lambda system: system.contains(gamma), max_states)
 
 
+def _class_sum(classes: np.ndarray, weights: Sequence) -> Fraction:
+    """Sum of weights[k] over the entries k of classes, count by count."""
+    counts = np.bincount(classes, minlength=len(weights)).tolist()
+    return sum((n * w for n, w in zip(counts, weights) if n), Fraction(0))
+
+
+def _pair_classes(params: ModelParams, X, max_states: int) -> tuple[np.ndarray, list]:
+    """The flat (|P2|, |P1|, b_i) class of every pair state, in
+    pair_betti_table order, and the class weights k2^a k1^c r^b."""
+    i = params.i
+    n1 = X.num_cells(i)
+    n2 = X.num_cells(i + 1)
+    betti = pair_betti_table(X, i, params.q, max_states)
+    pop = np.bitwise_count(np.arange(1 << max(n1, n2))).astype(np.int64)
+    classes = ((pop[:1 << n2, None] * (n1 + 1) + pop[:1 << n1]) * (n1 + 1)).ravel() + betti
+    rpow = [params.r ** b for b in range(n1 + 1)]
+    weights = [w2 * w1 * rb for w2 in _k_pow_factors(params.k2, n2)
+               for w1 in _k_pow_factors(params.k1, n1) for rb in rpow]
+    return classes, weights
+
+
 def enumerate_rho(params: ModelParams, X,
                   max_states: int = DEFAULT_STATE_GUARD) -> Dist:
     """Exact pair distribution; keys are (bits2, bits1)."""
-    i, q = params.i, params.q
-    n1 = X.num_cells(i)
-    n2 = X.num_cells(i + 1)
-    table = pair_betti_table(X, i, q, max_states)
-    # W[a][c][b] = k2^a k1^c r^b: the weight of every state with |P2| = a,
-    # |P1| = c and b_i = b
-    rpow = [params.r ** b for b in range(n1 + 1)]
-    W = [[[w2 * w1 * rb for rb in rpow] for w1 in _k_pow_factors(params.k1, n1)]
-         for w2 in _k_pow_factors(params.k2, n2)]
-    pop1 = [bits1.bit_count() for bits1 in range(1 << n1)]
-    weights = {}
-    for bits2 in range(1 << n2):
-        W2 = W[bits2.bit_count()]
-        betti = table[bits2 << n1:(bits2 + 1) << n1].tolist()
-        for bits1, (c, b) in enumerate(zip(pop1, betti)):
-            w = W2[c][b]
-            if w:
-                weights[(bits2, bits1)] = w
-    return Dist.from_weights(weights)
+    n1 = X.num_cells(params.i)
+    classes, W = _pair_classes(params, X, max_states)
+    return Dist.from_weights({divmod(s, 1 << n1): W[k]
+                              for s, k in enumerate(classes.tolist()) if W[k]})
 
 
 def _submasks(mask: int):
@@ -441,23 +451,10 @@ class WilsonResult:
 def wilson_class_sums(params: ModelParams, X, gamma: Chain,
                       max_states: int = DEFAULT_STATE_GUARD) -> list[Fraction]:
     """A_c = sum of mu-weights of cochains with f(gamma) = c, for c in Z_q."""
-    q = params.q
     _, z1, z2, gvals = mu_class_data(params, X, (gamma,), max_states)
-    gv = gvals[0]
-    n1 = X.num_cells(params.i)
-    n2 = X.num_cells(params.i + 1)
-    enc = (z1 * (n2 + 1) + z2) * q + gv
-    counts = np.bincount(enc, minlength=(n1 + 1) * (n2 + 1) * q)
-    table = _mu_weight_table(params, X)
-    sums = [Fraction(0)] * q
-    for a in range(n1 + 1):
-        for b in range(n2 + 1):
-            base = (a * (n2 + 1) + b) * q
-            for c in range(q):
-                n = int(counts[base + c])
-                if n:
-                    sums[c] += n * table[a][b]
-    return sums
+    classes = z1 * (X.num_cells(params.i + 1) + 1) + z2
+    weights = [w for row in _mu_weight_table(params, X) for w in row]
+    return [_class_sum(classes[gvals[0] == c], weights) for c in range(params.q)]
 
 
 def wilson_expectation_exact(sums: Sequence[Fraction], q: int) -> Fraction | None:
@@ -482,12 +479,13 @@ def exact_wilson(params: ModelParams, X, gamma: Chain,
     if lhs_exact is not None:
         lhs = complex(float(lhs_exact), 0.0)
 
-    rho = enumerate_rho(params, X, max_states)
+    classes, W = _pair_classes(params, X, max_states)
     flags = vgamma_table(X, params.i, q, gamma, max_states)
-    n1 = X.num_cells(params.i)
-    num = sum((w for (b2, b1), w in rho.entries.items() if flags[(b2 << n1) | b1]),
-              Fraction(0))
-    return WilsonResult(lhs=lhs, rhs=num / rho.total, lhs_exact=lhs_exact)
+    rho_total = _class_sum(classes, W)
+    if rho_total <= 0:
+        raise ValidationError("distribution has zero total weight")
+    return WilsonResult(lhs=lhs, rhs=_class_sum(classes[flags], W) / rho_total,
+                        lhs_exact=lhs_exact)
 
 
 # ---------------------------------------------------------------------------

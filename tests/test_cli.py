@@ -68,6 +68,12 @@ def test_too_large_enumeration_exits_3(tmp_path):
     assert code == 3
 
 
+def test_too_large_exact_wilson_exits_3(tmp_path):
+    code = run_cli(["wilson", *BASE_MODEL, "--widths", "2,2", "--loop", "2", "--exact",
+                    "--max-states", "4096"], tmp_path)
+    assert code == 3
+
+
 def test_mc_commands_reproduce_csv_bytes(tmp_path):
     args = ["mf-ratio", "--d", "2", "--q", "2", "--i", "1", "--widths", "4,4",
             "--p2", "0.5", "--p1", "0.8", "--n", "2", "--samples", "200",
@@ -227,6 +233,8 @@ CONFIG_22 = {"d": 2, "q": 2, "i": 1, "widths": "2,2", "p2": "0.5", "p1": "0.5",
     (["sample", "--config", {**CONFIG_22, "d": "two"}], None, "'d'"),
     (["sample", "--config", {**CONFIG_22, "samples": 2.5}], None, "'samples'"),
     (["sample", "--config", {**CONFIG_22, "widths": [1, "x"]}], None, "--widths"),
+    (["enumerate", "--config", {"d": 2, "q": 2, "widths": "1,1", "k2": "1", "k1": "1",
+                                "geometry": "sphere"}], None, "'geometry'"),
 ])
 def test_bad_cli_input_exits_2_with_a_message(args, gamma, message,
                                               tmp_path, monkeypatch, capsys):

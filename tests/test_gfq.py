@@ -6,7 +6,7 @@ import pytest
 
 from cpp_lab import gfq
 from cpp_lab.complexes import two_squares_complex
-from cpp_lab.errors import DimensionMismatch, NonPrimeModulus, ZeroInverse
+from cpp_lab.errors import NonPrimeModulus, ZeroInverse
 
 
 def brute_inverse(a, q):
@@ -81,22 +81,6 @@ def test_kernel_trivial_cases():
     assert gfq.rank(zero, 3) == 3
 
 
-def test_solve_worked_values():
-    b = np.array([1, 2, 0])
-    assert np.array_equal(gfq.solve(np.eye(3, dtype=int), b, 5), b)
-    fx = two_squares_complex()
-    d2 = fx.boundary_matrix(2, 5)
-    x = gfq.solve(d2, [1, 1, 1, 1, 0, 0, 0], 5)
-    assert x is not None and list(x) == [1]
-    e5 = [0, 0, 0, 0, 1, 0, 0]
-    assert gfq.solve(d2, e5, 5) is None
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        gfq.solve(np.eye(3, dtype=int), [1, 2], 5)
-
-
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_rank_nullity_and_kernel_on_random_matrices(seed, q):
@@ -111,11 +95,6 @@ def test_rank_nullity_and_kernel_on_random_matrices(seed, q):
     # row space is preserved: every original row reduces to zero
     for row in m:
         assert not gfq.reduce_vector(red, row, q).any()
-    x = rng.integers(0, q, size=cols)
-    b = (m @ x) % q
-    x2 = gfq.solve(m, b, q)
-    assert x2 is not None
-    assert np.array_equal((m @ x2) % q, b)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -216,6 +216,41 @@ def test_wilson_sums_against_direct_enumeration():
     assert brute == M.wilson_class_sums(p, SQUARE, gamma)
 
 
+def _plaquette_boundary(X, q, k=0):
+    return boundary_chain(X, X.cells(2)[k], q)
+
+
+BOX12 = build_box(2, [1, 2])
+TORUS2 = build_torus(2, 2)
+WILSON_CASES = {
+    "square-q2": (SQUARE, 2, _plaquette_boundary(SQUARE, 2)),
+    "box22-q2": (BOX22, 2, rect_loop(2, 2, BOX22, 2).gamma),
+    "box12-q3": (BOX12, 3, _plaquette_boundary(BOX12, 3) + _plaquette_boundary(BOX12, 3, 1)),
+    "torus2-q2": (TORUS2, 2, _plaquette_boundary(TORUS2, 2)),
+}
+
+
+@pytest.mark.parametrize("r", ["q", Fraction(5, 2)], ids=["r=q", "r=5/2"])
+@pytest.mark.parametrize("case", list(WILSON_CASES))
+def test_exact_wilson_rhs_is_the_per_state_rho_sum(case, r):
+    """rho(V_gamma) as the sum of enumerated pair weights over the states
+    whose V_gamma flag is set, divided by the total."""
+    X, q, gamma = WILSON_CASES[case]
+    n1 = X.num_cells(1)
+    flags = M.vgamma_table(X, 1, q, gamma)
+    for k2, k1 in itertools.product([0, Fraction(1, 2), 3], repeat=2):
+        p = params(q=q, k2=k2, k1=k1, r=q if r == "q" else r)
+        rho = M.enumerate_rho(p, X)
+        num = sum((w for (b2, b1), w in rho.entries.items() if flags[(b2 << n1) | b1]),
+                  Fraction(0))
+        assert M.exact_wilson(p, X, gamma).rhs == num / rho.total
+
+
+def test_exact_wilson_zero_pair_total_is_a_validation_error():
+    with pytest.raises(ValidationError, match="zero total weight"):
+        M.exact_wilson(params(k2=0, k1=0, r=0), SQUARE, _plaquette_boundary(SQUARE, 2))
+
+
 def test_one_point_conditionals_take_the_two_stated_values():
     rnd = random.Random(41)
     for r in (None, Fraction(1), Fraction(7, 2)):
