@@ -3,7 +3,10 @@
 Matrices are dense numpy int64 arrays with entries reduced mod q; q is
 validated once per model (see `require_prime`), not per element.  A
 bit-packed GF(2) path (rows as python ints) backs the hot loops of the
-sampler and the pair-enumeration oracles.
+sampler and the pair-enumeration oracles.  Its pivot is a row's highest
+set bit, which `int.bit_length` reads without allocating; kernel draws
+take the free columns in decreasing bit order.  Callers that want
+lowest-index pivots store index k at bit n-1-k (`bit_reverse`).
 """
 from __future__ import annotations
 
@@ -123,24 +126,25 @@ def reduce_vector(red: RrefResult, vec, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def gf2_ref_bits(rows) -> dict[int, int]:
-    """Row echelon form (not reduced): {pivot_col: row}, pivot = lowest bit."""
+    """Row echelon form (not reduced): {pivot_col: row}, pivot = highest bit."""
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
-            low = (row & -row).bit_length() - 1
-            hit = pivots.get(low)
+            top = row.bit_length() - 1
+            hit = pivots.get(top)
             if hit is None:
-                pivots[low] = row
+                pivots[top] = row
                 break
             row ^= hit
     return pivots
 
 
 def gf2_residual_bits(pivots: dict[int, int], vec: int) -> int:
-    """Reduce vec against reduced rows; 0 iff vec is in their span."""
+    """Reduce vec against echelon rows (pivot = highest bit); 0 iff vec
+    is in their span."""
     while vec:
-        low = (vec & -vec).bit_length() - 1
-        hit = pivots.get(low)
+        top = vec.bit_length() - 1
+        hit = pivots.get(top)
         if hit is None:
             return vec
         vec ^= hit
@@ -152,24 +156,36 @@ def gf2_kernel_sample(pivots: dict[int, int], ncols: int, rng,
     """Uniform sample from the kernel of a GF(2) matrix in echelon form.
 
     Equivalent to drawing uniform coefficients for a kernel basis: free
-    coordinates are i.i.d. fair bits, pivots follow by back-substitution
-    in decreasing column order (a row's pivot is its lowest set bit, so
-    every other coordinate it touches is solved before it).  Columns
-    outside col_mask are pinned to zero instead of being free.
+    coordinates are i.i.d. fair bits drawn in decreasing bit order, pivots
+    follow by back-substitution in increasing column order (a row's pivot
+    is its highest set bit, so every other coordinate it touches is solved
+    before it).  Columns outside col_mask are pinned to zero instead of
+    being free.
     """
     if col_mask is None:
         col_mask = (1 << ncols) - 1
-    free = [c for c in bit_ids(col_mask) if c not in pivots]
+    free = [c for c in reversed(bit_ids(col_mask)) if c not in pivots]
     x = 0
     if free:
         draws = rng.integers(0, 2, size=len(free))
         for c, bit in zip(free, draws):
             if bit:
                 x |= 1 << c
-    for pc in sorted(pivots, reverse=True):
+    for pc in sorted(pivots):
         if ((pivots[pc] & x).bit_count()) & 1:
             x |= 1 << pc
     return x
+
+
+# bit j of byte b moves to bit 7-j
+_BYTE_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def bit_reverse(bits: int, n: int) -> int:
+    """Move bit k of an n-bit set to bit n-1-k; bits at or above n are dropped."""
+    width = (n + 7) // 8
+    raw = (bits & ((1 << n) - 1)).to_bytes(width, "little").translate(_BYTE_REVERSE)
+    return int.from_bytes(raw, "big") >> (8 * width - n)
 
 
 def bit_ids(bits: int) -> list[int]:

@@ -82,16 +82,18 @@ def relative_cocycle_space(pair: RelPair, q: int) -> CocycleSpace:
 
 
 def _face_masks(X, j: int) -> list[int]:
-    """GF(2) boundary rows of j-cells as bit masks over (j-1)-cell ids."""
+    """GF(2) boundary rows of j-cells as bit masks, (j-1)-cell k at bit
+    n_(j-1)-1-k (the `CocycleSystem` convention)."""
     key = ("face_masks", j)
     if key not in X.cache:
         faces, signs = X.incidence(j)
+        top = X.num_cells(j - 1) - 1
         masks = []
         for row, row_signs in zip(faces, signs):
             m = 0
             for f, sign in zip(row, row_signs):
                 if sign % 2:
-                    m ^= 1 << int(f)
+                    m ^= 1 << (top - int(f))
             masks.append(m)
         X.cache[key] = masks
     return X.cache[key]
@@ -103,9 +105,11 @@ class CocycleSystem:
     closed i-cells (those not open in P1) and eliminated over GF(q).
 
     Open P1 cells are pinned to 0, so the kernel of these rows, extended by
-    zero, is Z^i(P2, P1).  For q = 2 `closed` is a bitmask over i-cell ids
-    and `pivots` the bitset echelon rows; for q > 2 `closed` holds the
-    closed ids in increasing order and `red` the dense RREF over them.
+    zero, is Z^i(P2, P1).  For q = 2 `closed` is a bitmask and `pivots`
+    the bitset echelon rows, both indexing i-cell k at bit n_i-1-k: the
+    GF(2) pivot is a row's highest bit, so under this mapping it is the
+    row's lowest cell id, as in the dense RREF.  For q > 2 `closed` holds
+    the closed ids in increasing order and `red` the dense RREF over them.
     """
 
     q: int
@@ -123,6 +127,7 @@ class CocycleSystem:
             for idx, c in gamma.coeffs:
                 if c % 2:
                     gbits |= 1 << idx
+            gbits = gfq.bit_reverse(gbits, self.n_i)
             return gfq.gf2_residual_bits(self.pivots, gbits & self.closed) == 0
         g = gamma.vector(self.n_i)[self.closed]
         return not gfq.reduce_vector(self.red, g, self.q).any()
@@ -136,7 +141,7 @@ class CocycleSystem:
         """
         if self.q == 2:
             bits = gfq.gf2_kernel_sample(self.pivots, self.n_i, rng, col_mask=self.closed)
-            return gfq.bits_to_vector(bits, self.n_i)
+            return gfq.bits_to_vector(gfq.bit_reverse(bits, self.n_i), self.n_i)
         f = np.zeros(self.n_i, dtype=np.int64)
         if self.dim:
             pivot_cols = list(self.red.pivot_cols)
@@ -152,7 +157,7 @@ def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
     (i+1)-cells `bits2`, open i-cells `bits1`."""
     n_i = X.num_cells(i)
     if q == 2:
-        closed = ((1 << n_i) - 1) & ~bits1
+        closed = ((1 << n_i) - 1) & ~gfq.bit_reverse(bits1, n_i)
         masks = _face_masks(X, i + 1) if bits2 else []
         rows = [masks[s] & closed for s in gfq.bit_ids(bits2)]
         pivots = gfq.gf2_ref_bits(rows)

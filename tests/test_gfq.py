@@ -1,4 +1,5 @@
 """GF(q) linear algebra: worked values plus randomized structural checks."""
+import copy
 import random
 
 import numpy as np
@@ -109,6 +110,51 @@ def test_gf2_bit_path_agrees_with_generic(seed):
     # membership: the rows themselves reduce to zero against their echelon form
     for r in bit_rows:
         assert gfq.gf2_residual_bits(pivots, r) == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 12, 6084])
+def test_bit_reverse_moves_bit_k_to_n_minus_1_minus_k(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        bits = rng.getrandbits(n)
+        rev = gfq.bit_reverse(bits, n)
+        assert rev < 1 << n
+        assert gfq.bit_reverse(rev, n) == bits
+        assert gfq.bit_ids(rev) == sorted(n - 1 - k for k in gfq.bit_ids(bits))
+        assert gfq.bit_reverse(bits | 1 << n, n) == rev
+
+
+def _reversed_rows(m):
+    """Rows of a 0/1 matrix as bitsets with column j at bit cols-1-j."""
+    cols = m.shape[1]
+    return [gfq.bit_reverse(gfq.vector_to_bits(r), cols) for r in m]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gf2_top_bit_pivots_of_reversed_rows_are_rref_pivot_cols(seed):
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, 2, size=tuple(rng.integers(1, 12, size=2)))
+    cols = m.shape[1]
+    pivots = gfq.gf2_ref_bits(_reversed_rows(m))
+    assert sorted(cols - 1 - k for k in pivots) == list(gfq.rref(m, 2).pivot_cols)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gf2_kernel_sample_of_reversed_rows_is_dense_kernel_stream(seed):
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, 2, size=tuple(rng.integers(1, 12, size=2)))
+    cols = m.shape[1]
+    pivots = gfq.gf2_ref_bits(_reversed_rows(m))
+    basis = gfq.kernel_basis(m, 2)
+    for _ in range(5):
+        clone = copy.deepcopy(rng)
+        x = gfq.gf2_kernel_sample(pivots, cols, rng)
+        f = gfq.bits_to_vector(gfq.bit_reverse(x, cols), cols)
+        expected = np.zeros(cols, dtype=np.int64)
+        if basis.shape[0]:
+            expected = clone.integers(0, 2, size=basis.shape[0]) @ basis % 2
+        assert np.array_equal(f, expected)
+        assert rng.bit_generator.state == clone.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", range(4))

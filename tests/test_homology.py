@@ -193,13 +193,12 @@ def test_cocycle_system_agrees_with_dense_reference(case):
     assert f.shape == (n_i,)
     assert not f[pair.P1.open_ids()].any()
     assert not delta_cochain(f, X, i, q)[pair.P2.open_ids()].any()
-    if q > 2:
-        # the stream contract: uniform coefficients on the dense kernel basis
-        expected = np.zeros(n_i, dtype=np.int64)
-        if space.dim:
-            expected = clone.integers(0, q, size=space.dim) @ space.basis % q
-        assert np.array_equal(f, expected)
-        assert rng.bit_generator.state == clone.bit_generator.state
+    # the stream contract: uniform coefficients on the dense kernel basis
+    expected = np.zeros(n_i, dtype=np.int64)
+    if space.dim:
+        expected = clone.integers(0, q, size=space.dim) @ space.basis % q
+    assert np.array_equal(f, expected)
+    assert rng.bit_generator.state == clone.bit_generator.state
 
 
 def test_v_gamma_trivial_cases():
