@@ -3,8 +3,9 @@
 Both kinds share one core, `CellComplex`: a subclass lists its cells in
 id order and defines `boundary_of(cell)`, and the core derives the sparse
 incidence lists and, scattered from them, the boundary matrices.  All
-structure derived from a complex (also GF(2) face masks and exact pair
-tables) lives in its one `cache` dict, as long as the complex does.
+structure derived from a complex (also GF(2) face masks, exact pair
+tables and the last relative cocycle system) lives in its one `cache`
+dict, as long as the complex does.
 
 Cubical cells are axis-aligned unit cubes identified by (base corner,
 spanned axis set).  Ids are assigned lexicographically on (dirs, base),
@@ -127,7 +128,8 @@ class CubicalComplex(CellComplex):
             self.period = period
         else:
             raise InvalidDimension(f"unknown kind {kind!r}")
-        super().__init__([self._enumerate(j) for j in range(d + 1)])
+        bases: dict = {}
+        super().__init__([self._enumerate(j, bases) for j in range(d + 1)])
 
     def _base_range(self, axis: int, spanned: bool) -> range:
         if self.kind == "torus":
@@ -135,13 +137,15 @@ class CubicalComplex(CellComplex):
         w = self.widths[axis]
         return range(w) if spanned else range(w + 1)
 
-    def _enumerate(self, j: int) -> list[Cell]:
+    def _enumerate(self, j: int, bases: dict) -> list[Cell]:
+        """The j-cells in id order; cells at one base corner, of any
+        dimension, share the base tuple kept in `bases`."""
         out = []
         for dirs in itertools.combinations(range(self.d), j):
             spanned = set(dirs)
             ranges = [self._base_range(k, k in spanned) for k in range(self.d)]
             for base in itertools.product(*ranges):
-                out.append(Cell(base=base, dirs=dirs))
+                out.append(Cell(base=bases.setdefault(base, base), dirs=dirs))
         return out
 
     # -- cell bookkeeping ---------------------------------------------------

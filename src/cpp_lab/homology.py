@@ -154,17 +154,36 @@ class CocycleSystem:
 
 def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
     """The relative cocycle system of the pair given as bitsets: open
-    (i+1)-cells `bits2`, open i-cells `bits1`."""
+    (i+1)-cells `bits2`, open i-cells `bits1`.
+
+    The last system built is kept in the single slot
+    `X.cache["cocycle_system"]`, keyed by (i, q, bits2, bits1), so a sweep's
+    spin draw and the observables and weights read on the same pair share
+    one elimination; callers must not mutate the result.  On a miss the old
+    system is released before the new one is built, so two systems are
+    never alive at once.
+    """
+    key = (i, q, bits2, bits1)
+    slot = X.cache.pop("cocycle_system", None)
+    if slot is not None and slot[0] == key:
+        X.cache["cocycle_system"] = slot
+        return slot[1]
+    del slot  # the old system goes before the new one is built
     n_i = X.num_cells(i)
     if q == 2:
         closed = ((1 << n_i) - 1) & ~gfq.bit_reverse(bits1, n_i)
         masks = _face_masks(X, i + 1) if bits2 else []
-        rows = [masks[s] & closed for s in gfq.bit_ids(bits2)]
+        # decreasing ids: the row space, and so the pivot set, is unchanged,
+        # and the elimination fills in less
+        rows = (masks[s] & closed for s in reversed(gfq.bit_ids(bits2)))
         pivots = gfq.gf2_ref_bits(rows)
-        return CocycleSystem(q, n_i, closed, closed.bit_count() - len(pivots), pivots=pivots)
-    closed = np.flatnonzero(gfq.bits_to_vector(bits1, n_i) == 0)
-    red = gfq.rref(_restricted_delta(X, i, gfq.bit_ids(bits2), closed), q)
-    return CocycleSystem(q, n_i, closed, len(closed) - red.rank, red=red)
+        system = CocycleSystem(q, n_i, closed, closed.bit_count() - len(pivots), pivots=pivots)
+    else:
+        closed = np.flatnonzero(gfq.bits_to_vector(bits1, n_i) == 0)
+        red = gfq.rref(_restricted_delta(X, i, gfq.bit_ids(bits2), closed), q)
+        system = CocycleSystem(q, n_i, closed, len(closed) - red.rank, red=red)
+    X.cache["cocycle_system"] = (key, system)
+    return system
 
 
 def pair_cocycle_dim(X, i: int, q: int, bits2: int, bits1: int) -> int:

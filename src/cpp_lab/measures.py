@@ -289,28 +289,40 @@ def enumerate_mu(params: ModelParams, X,
     return Dist.from_weights(weights)
 
 
-def _state_table(X, key: tuple, i: int, q: int, dtype, value: Callable,
+def _state_table(X, i: int, q: int, gamma: Chain | None,
                  max_states: int) -> np.ndarray:
-    """value(cocycle_system) for every pair state, indexed by
-    (bits2 << n1) | bits1, cached in X.cache under key."""
+    """b_i (gamma None) or the V_gamma flag of every pair state, indexed by
+    (bits2 << n1) | bits1 and cached in X.cache.
+
+    A walk that builds a V_gamma table also fills the b_i table if it is
+    missing, from the same systems."""
+    betti_key = ("pair_betti", i, q)
+    key = betti_key if gamma is None else ("vgamma", i, q, gamma.coeffs)
     if key not in X.cache:
         n1 = X.num_cells(i)
         n2 = X.num_cells(i + 1)
         _guard(1 << (n1 + n2), max_states)
-        out = np.zeros(1 << (n1 + n2), dtype=dtype)
+        betti = None if betti_key in X.cache else np.zeros(1 << (n1 + n2), dtype=np.int16)
+        flags = None if gamma is None else np.zeros(1 << (n1 + n2), dtype=bool)
         for bits2 in range(1 << n2):
             base = bits2 << n1
             for bits1 in range(1 << n1):
-                out[base | bits1] = value(homology.cocycle_system(X, i, q, bits2, bits1))
-        X.cache[key] = out
+                system = homology.cocycle_system(X, i, q, bits2, bits1)
+                if betti is not None:
+                    betti[base | bits1] = system.dim
+                if flags is not None:
+                    flags[base | bits1] = system.contains(gamma)
+        if betti is not None:
+            X.cache[betti_key] = betti
+        if flags is not None:
+            X.cache[key] = flags
     return X.cache[key]
 
 
 def pair_betti_table(X, i: int, q: int,
                      max_states: int = DEFAULT_STATE_GUARD) -> np.ndarray:
     """b_i(P2, P1) for every pair, indexed by (bits2 << n1) | bits1."""
-    return _state_table(X, ("pair_betti", i, q), i, q, np.int16,
-                        lambda system: system.dim, max_states)
+    return _state_table(X, i, q, None, max_states)
 
 
 def vgamma_table(X, i: int, q: int, gamma: Chain,
@@ -318,8 +330,7 @@ def vgamma_table(X, i: int, q: int, gamma: Chain,
     """V_gamma indicator for every pair, indexed like pair_betti_table."""
     if gamma.dim != i or gamma.q != q:
         raise DimensionMismatch("gamma has wrong dimension or modulus")
-    return _state_table(X, ("vgamma", i, q, gamma.coeffs), i, q, bool,
-                        lambda system: system.contains(gamma), max_states)
+    return _state_table(X, i, q, gamma, max_states)
 
 
 def _class_sum(classes: np.ndarray, weights: Sequence) -> Fraction:
@@ -479,8 +490,9 @@ def exact_wilson(params: ModelParams, X, gamma: Chain,
     if lhs_exact is not None:
         lhs = complex(float(lhs_exact), 0.0)
 
-    classes, W = _pair_classes(params, X, max_states)
+    # the V_gamma walk also fills the b_i table that _pair_classes reads
     flags = vgamma_table(X, params.i, q, gamma, max_states)
+    classes, W = _pair_classes(params, X, max_states)
     rho_total = _class_sum(classes, W)
     if rho_total <= 0:
         raise ValidationError("distribution has zero total weight")

@@ -111,8 +111,11 @@ def mf_ratio(full: Estimate, half: Estimate) -> Estimate:
 # -- observable factories for the sampler -----------------------------------
 
 def wilson_observable(gamma: Chain, q: int):
+    # wilson_real's floats, looked up so that no float is made per sample
+    values = [math.cos(2 * math.pi * k / q) for k in range(q)]
+
     def obs(f, P2, P1):
-        return wilson_real(f, gamma, q)
+        return values[gamma.evaluate(f)]
     return obs
 
 

@@ -133,6 +133,39 @@ def test_cell_id_round_trip():
                 assert X.cell_at(j, idx) == cell
 
 
+def reference_cells(X, j):
+    """The j-cells in the documented id order: lexicographic on (dirs, base)."""
+    import itertools
+    out = []
+    for dirs in itertools.combinations(range(X.d), j):
+        if X.kind == "torus":
+            ranges = [range(X.period)] * X.d
+        else:
+            ranges = [range(w if k in dirs else w + 1) for k, w in enumerate(X.widths)]
+        out += [Cell(base, dirs) for base in itertools.product(*ranges)]
+    return out
+
+
+@pytest.mark.parametrize("X", [build_box(2, [2, 3]), build_box(3, [2, 1, 2]),
+                               build_torus(2, 1), build_torus(3, 2), build_torus(2, 3),
+                               build_torus(3, 3)])
+def test_cells_share_base_tuples_and_keep_ids_and_incidence(X):
+    corners = {cell.base: cell.base for cell in X.cells(0)}
+    for j in range(X.d + 1):
+        cells = reference_cells(X, j)
+        assert X.cells(j) == cells
+        for idx, cell in enumerate(cells):
+            assert X.cell_id(cell) == idx
+            assert X.cell_at(j, idx) == cell
+            # one base tuple per corner, shared by the cells of every dimension
+            assert X.cell_at(j, idx).base is corners[cell.base]
+        if j:
+            faces, signs = X.incidence(j)
+            for idx, cell in enumerate(cells):
+                bdry = [(X.cell_id(face), sign) for face, sign in X.boundary_of(cell)]
+                assert list(zip(faces[idx].tolist(), signs[idx].tolist())) == bdry
+
+
 def test_bullet_dual_dimensions_and_directions():
     X = build_torus(3, 2)
     vertex = Cell((0, 0, 0), ())

@@ -1,6 +1,7 @@
 """Cocycle spaces, Betti numbers, V_gamma, Euler characteristic, min area."""
 import copy
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -168,12 +169,20 @@ def pair_cases(draw):
 def test_cocycle_system_agrees_with_dense_reference(case):
     X, i, q, bits2, bits1, gamma, seed = case
     pair = RelPair(PercSubcomplex(X, i + 1, bits2), PercSubcomplex(X, i, bits1))
+    X.cache.pop("cocycle_system", None)  # build the system, not a kept one
     system = cocycle_system(X, i, q, bits2, bits1)
     space = relative_cocycle_space(pair, q)
     assert system.dim == space.dim
 
     red = gfq.rref(cocycle_matrix(pair, q), q)
     n_i = X.num_cells(i)
+    # the pivot set is the row space's, whatever order the rows came in:
+    # with the open P1 cells it is the dense RREF's
+    if q == 2:
+        lead = {n_i - 1 - k for k in system.pivots}
+    else:
+        lead = set(system.closed[list(system.red.pivot_cols)].tolist())
+    assert lead | set(pair.P1.open_ids()) == set(red.pivot_cols)
     gammas = [gamma]
     bmat = X.boundary_matrix(i + 1, q)
     # the bitsets double as random row (i+1-cell) and column (i-cell) subsets
@@ -199,6 +208,43 @@ def test_cocycle_system_agrees_with_dense_reference(case):
         expected = clone.integers(0, q, size=space.dim) @ space.basis % q
     assert np.array_equal(f, expected)
     assert rng.bit_generator.state == clone.bit_generator.state
+
+
+def test_cocycle_system_keeps_one_system_per_complex():
+    X = build_box(2, [2, 2])
+    first = cocycle_system(X, 1, 2, 0b1011, 0b101)
+    assert cocycle_system(X, 1, 2, 0b1011, 0b101) is first
+    assert v_gamma(RelPair(PercSubcomplex(X, 2, 0b1011), PercSubcomplex(X, 1, 0b101)),
+                   Chain.zero(1, 2), 2)
+    assert X.cache["cocycle_system"][0] == (1, 2, 0b1011, 0b101)
+    assert X.cache["cocycle_system"][1] is first
+    for key in ((1, 3, 0b1011, 0b101), (1, 2, 0b1011, 0b100), (1, 2, 0b1010, 0b101),
+                (0, 2, 0b101, 0b1)):
+        newest = cocycle_system(X, *key)
+        assert newest is not first
+        assert X.cache["cocycle_system"][0] == key
+        assert X.cache["cocycle_system"][1] is newest
+        # the slot holds the newest system only: the test holds the last
+        # reference to the one it replaced
+        assert sys.getrefcount(first) == 2
+        first = newest
+
+
+@pytest.mark.parametrize("q,solver", [(2, "gf2_ref_bits"), (3, "rref")])
+def test_cocycle_system_releases_the_old_system_before_building(monkeypatch, q, solver):
+    X = build_box(2, [2, 2])
+    cocycle_system(X, 1, q, 0b11, 0)
+    original = getattr(gfq, solver)
+    seen = []
+
+    def solve(*args, **kwargs):
+        seen.append("cocycle_system" in X.cache)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gfq, solver, solve)
+    cocycle_system(X, 1, q, 0b111, 0)
+    assert seen == [False]
+    assert X.cache["cocycle_system"][0] == (1, q, 0b111, 0)
 
 
 def test_v_gamma_trivial_cases():

@@ -407,3 +407,40 @@ def test_vgamma_table_rejects_gamma_of_wrong_dimension_or_modulus():
         M.vgamma_table(SQUARE, 1, 2, Chain.build(0, 2, {0: 1}))
     with pytest.raises(DimensionMismatch):
         M.vgamma_table(SQUARE, 1, 2, Chain.build(1, 3, {0: 1}))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_exact_wilson_fills_both_state_tables_in_one_walk(monkeypatch, q):
+    X = build_box(2, [1, 2])
+    gammas = [rect_loop(2, 2, X, q, width=1).gamma, boundary_chain(X, X.cells(2)[0], q)]
+    walk = 1 << (X.num_cells(1) + X.num_cells(2))
+    original = M.homology.cocycle_system
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(M.homology, "cocycle_system", counted)
+    p = params(q=q, k2=Fraction(1, 2), k1=2)
+    results = [M.exact_wilson(p, X, gamma) for gamma in gammas]
+    assert len(calls) == len(gammas) * walk
+    assert ("pair_betti", 1, q) in X.cache
+    # the tables are those of separate walks on a fresh complex
+    monkeypatch.undo()
+    Y = build_box(2, [1, 2])
+    assert np.array_equal(X.cache[("pair_betti", 1, q)], M.pair_betti_table(Y, 1, q))
+    for gamma, res in zip(gammas, results):
+        assert np.array_equal(X.cache[("vgamma", 1, q, gamma.coeffs)],
+                              M.vgamma_table(Y, 1, q, gamma))
+        assert M.exact_wilson(p, Y, gamma) == res
+
+
+def test_state_tables_are_guarded_before_they_are_built():
+    X = build_box(2, [1, 2])
+    gamma = boundary_chain(X, X.cells(2)[0], 2)
+    with pytest.raises(TooLarge):
+        M.vgamma_table(X, 1, 2, gamma, max_states=100)
+    with pytest.raises(TooLarge):
+        M.pair_betti_table(X, 1, 2, max_states=100)
+    assert not X.cache

@@ -7,7 +7,7 @@ import pytest
 from cpp_lab.complexes import Chain, build_box, build_torus, chain_boundary
 from cpp_lab.errors import DegenerateDenominator, DoesNotFit
 from cpp_lab.observables import (Estimate, mf_ratio, perimeter, rect_loop,
-                                 wilson_value)
+                                 wilson_observable, wilson_real, wilson_value)
 
 
 def test_rect_loop_shape_and_halves():
@@ -65,6 +65,15 @@ def test_wilson_multiplicativity():
         lhs = wilson_value(f, g1 + g2, q)
         rhs = wilson_value(f, g1, q) * wilson_value(f, g2, q)
         assert lhs == pytest.approx(rhs)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_wilson_observable_returns_wilson_real_exactly(q):
+    rnd = random.Random(61 + q)
+    for _ in range(40):
+        gamma = Chain.build(1, q, {rnd.randrange(8): rnd.randrange(1, q) for _ in range(3)})
+        f = [rnd.randrange(q) for _ in range(8)]
+        assert wilson_observable(gamma, q)(f, None, None) == wilson_real(f, gamma, q)
 
 
 def test_perimeter_counts_support_not_coefficients():

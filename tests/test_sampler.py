@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cpp_lab import gfq
 from cpp_lab import measures as M
 from cpp_lab import sampler as S
 from cpp_lab.complexes import PercSubcomplex, boundary_chain, build_box
 from cpp_lab.errors import ValidationError
-from cpp_lab.homology import RelPair, relative_cocycle_space
-from cpp_lab.observables import (open_count_observable, vgamma_observable,
+from cpp_lab.homology import RelPair, relative_cocycle_space, v_gamma
+from cpp_lab.observables import (open_count_observable, rect_loop, vgamma_observable,
                                  wilson_observable)
 
 SQUARE = build_box(2, [1, 1])
@@ -219,3 +220,48 @@ def test_mf_scan_runs_and_reports_error_bars():
     for r in rows:
         assert math.isfinite(r["estimate"]) and math.isfinite(r["std_err"])
         assert r["std_err"] >= 0
+
+
+@pytest.mark.parametrize("q,solver", [(2, "gf2_ref_bits"), (3, "rref")])
+def test_observables_share_the_sweeps_elimination(monkeypatch, q, solver):
+    X = build_box(3, [3, 3, 3])
+    fam = rect_loop(2, 3, X, q)
+    original = getattr(gfq, solver)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gfq, solver, counted)
+    cfg = S.RunConfig(q=q, i=1, p2=0.5, p1=0.5, n_samples=12, burn_in=3, seed=37)
+    S.run_chain(X, cfg, {
+        "w": wilson_observable(fam.gamma, q),
+        "v": vgamma_observable(fam.gamma, q),
+        "v_half": vgamma_observable(fam.gamma_prime, q),
+        "w_half": wilson_observable(fam.gamma_prime, q),
+    })
+    assert len(calls) == cfg.burn_in + cfg.n_samples
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_vgamma_observable_matches_a_fresh_v_gamma(q):
+    X = build_box(3, [3, 3, 3])
+    fam = rect_loop(2, 3, X, q)
+    checked = []
+
+    def observable(gamma):
+        kept = vgamma_observable(gamma, q)
+
+        def obs(f, P2, P1):
+            value = kept(f, P2, P1)
+            X.cache.pop("cocycle_system")
+            checked.append((value, float(v_gamma(RelPair(P2, P1), gamma, q))))
+            return value
+        return obs
+
+    cfg = S.RunConfig(q=q, i=1, p2=0.6, p1=0.7, n_samples=30, burn_in=2, seed=41)
+    S.run_chain(X, cfg, {"full": observable(fam.gamma), "half": observable(fam.gamma_prime)})
+    assert len(checked) == 60
+    assert all(kept == fresh for kept, fresh in checked)
+    assert {kept for kept, _ in checked} == {0.0, 1.0}
