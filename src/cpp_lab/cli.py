@@ -51,6 +51,13 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="exact enumeration guard")
 
 
+def _add_chain_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--samples", type=int)
+    p.add_argument("--burn-in", type=int)
+    p.add_argument("--thinning", type=int)
+    p.add_argument("--chains", type=int)
+
+
 def _read_json(path: str, flag: str):
     if not isinstance(path, str):
         raise ValidationError(f"{flag} needs a file name, got {path!r}")
@@ -530,19 +537,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loop", type=int, help="rectangular loop side n")
     p.add_argument("--gamma-file", help="JSON chain {dim, coeffs}")
     p.add_argument("--exact", action="store_true", help="full enumeration")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--burn-in", type=int)
-    p.add_argument("--thinning", type=int)
-    p.add_argument("--chains", type=int)
+    _add_chain_flags(p)
     _add_model_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_wilson)
 
     p = sub.add_parser("sample", help="run chains, write series CSV")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--burn-in", type=int)
-    p.add_argument("--thinning", type=int)
-    p.add_argument("--chains", type=int)
+    _add_chain_flags(p)
     p.add_argument("--observables", help="comma list: open2,open1,wilson:N,vgamma:N")
     _add_model_flags(p)
     _add_common_flags(p)
@@ -550,10 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mf-ratio", help="finite-n Marcu-Fredenhagen ratio scan")
     p.add_argument("--n", help="comma list of loop sides, e.g. 2,4,6")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--burn-in", type=int)
-    p.add_argument("--thinning", type=int)
-    p.add_argument("--chains", type=int)
+    _add_chain_flags(p)
     p.add_argument("--route", choices=["wilson", "topological"])
     _add_model_flags(p)
     _add_common_flags(p)

@@ -151,8 +151,7 @@ def gf2_residual_bits(pivots: dict[int, int], vec: int) -> int:
     return 0
 
 
-def gf2_kernel_sample(pivots: dict[int, int], ncols: int, rng,
-                      col_mask: int | None = None) -> int:
+def gf2_kernel_sample(pivots: dict[int, int], col_mask: int, rng) -> int:
     """Uniform sample from the kernel of a GF(2) matrix in echelon form.
 
     Equivalent to drawing uniform coefficients for a kernel basis: free
@@ -162,8 +161,6 @@ def gf2_kernel_sample(pivots: dict[int, int], ncols: int, rng,
     before it).  Columns outside col_mask are pinned to zero instead of
     being free.
     """
-    if col_mask is None:
-        col_mask = (1 << ncols) - 1
     free = [c for c in reversed(bit_ids(col_mask)) if c not in pivots]
     x = 0
     if free:

@@ -3,8 +3,8 @@
 For a percolation pair (P2, P1) of dimensions (i+1, i) the relative
 cochain group below degree i vanishes, so H^i(P2, P1) coincides with the
 space of relative cocycles: cochains vanishing on the open cells of P1
-whose coboundary vanishes on the open cells of P2.  All ranks are
-computed by Gaussian elimination over GF(q).
+whose coboundary vanishes on the open cells of P2.  Every Betti number
+is read off `cocycle_system`: rank H^j = dim Z^j - (|C^(j-1)| - dim Z^(j-1)).
 """
 from __future__ import annotations
 
@@ -140,7 +140,7 @@ class CocycleSystem:
         stream as uniform coefficients on the dense kernel basis.
         """
         if self.q == 2:
-            bits = gfq.gf2_kernel_sample(self.pivots, self.n_i, rng, col_mask=self.closed)
+            bits = gfq.gf2_kernel_sample(self.pivots, self.closed, rng)
             return gfq.bits_to_vector(gfq.bit_reverse(bits, self.n_i), self.n_i)
         f = np.zeros(self.n_i, dtype=np.int64)
         if self.dim:
@@ -209,6 +209,26 @@ def _restricted_delta(X, j: int, rows, cols) -> np.ndarray:
     return mat
 
 
+def _all_cells(X, k: int) -> int:
+    return (1 << X.num_cells(k)) - 1
+
+
+def _cohomology_rank(X, rel: dict[int, int], j: int, q: int) -> int:
+    """rank H^j = dim Z^j - (|rel[j-1]| - dim Z^(j-1)) of the cochain complex
+    on the k-cell bitsets rel[k] (a missing key means no cells), with each
+    dim Z^k read off a `cocycle_system`."""
+    gfq.require_prime(q)
+
+    def z_dim(k: int) -> int:
+        opened = _all_cells(X, k) & ~rel.get(k, 0)
+        return cocycle_system(X, k, q, rel.get(k + 1, 0), opened).dim
+
+    if not rel.get(j, 0):
+        return 0
+    below = rel.get(j - 1, 0)
+    return z_dim(j) - (below.bit_count() - z_dim(j - 1) if below else 0)
+
+
 def subcomplex_cohomology_rank(X, s_cells: dict[int, set[int] | None],
                                a_cells: dict[int, set[int] | None],
                                j: int, q: int) -> int:
@@ -217,54 +237,35 @@ def subcomplex_cohomology_rank(X, s_cells: dict[int, set[int] | None],
     Cells per dimension are given as sets of ids, with None meaning all
     cells of X in that dimension and a missing key meaning none.
     """
-    gfq.require_prime(q)
+    def bits(cells: dict, k: int) -> int:
+        ids = cells.get(k, ())
+        mask = _all_cells(X, k) if ids is None else sum(1 << c for c in set(ids))
+        if mask >> X.num_cells(k):
+            raise DimensionMismatch(f"a {k}-cell id is outside the complex")
+        return mask
 
-    def level(cells: dict, k: int) -> set[int]:
-        if k not in cells:
-            return set()
-        v = cells[k]
-        return set(range(X.num_cells(k))) if v is None else set(v)
-
-    def rel_ids(k: int) -> list[int]:
-        return sorted(level(s_cells, k) - level(a_cells, k))
-
-    dom = rel_ids(j)
-    up = _restricted_delta(X, j, rel_ids(j + 1), dom)
-    z_dim = len(dom) - gfq.rank(up, q)
-    down = _restricted_delta(X, j - 1, dom, rel_ids(j - 1))
-    return z_dim - gfq.rank(down, q)
-
-
-def _pair_levels(pair: RelPair) -> tuple[dict, dict]:
-    i = pair.i
-    s: dict[int, set[int] | None] = {k: None for k in range(i + 1)}
-    s[i + 1] = set(pair.P2.open_ids())
-    a: dict[int, set[int] | None] = {k: None for k in range(i)}
-    a[i] = set(pair.P1.open_ids())
-    return s, a
+    rel = {k: bits(s_cells, k) & ~bits(a_cells, k) for k in s_cells}
+    return _cohomology_rank(X, rel, j, q)
 
 
 def rel_betti(pair: RelPair, j: int, q: int) -> int:
     """Relative Betti number b_j(P2, P1) over GF(q)."""
-    i = pair.i
-    if j < i or j > i + 1:
-        return 0
-    if j == i:
-        return pair_cocycle_dim(pair.complex, i, q, pair.P2.bits, pair.P1.bits)
-    s, a = _pair_levels(pair)
-    return subcomplex_cohomology_rank(pair.complex, s, a, j, q)
+    X, i = pair.complex, pair.i
+    # j = i reads the system keyed (i, q, P2.bits, P1.bits), the sampler's
+    rel = {i: _all_cells(X, i) & ~pair.P1.bits, i + 1: pair.P2.bits}
+    return _cohomology_rank(X, rel, j, q)
 
 
 def betti(obj, j: int, q: int) -> int:
     """Absolute Betti number of a complex or a percolation subcomplex."""
     if isinstance(obj, PercSubcomplex):
         X = obj.complex
-        s: dict[int, set[int] | None] = {k: None for k in range(obj.dim)}
-        s[obj.dim] = set(obj.open_ids())
+        rel = {k: _all_cells(X, k) for k in range(obj.dim)}
+        rel[obj.dim] = obj.bits
     else:
         X = obj
-        s = {k: None for k in range(X.d + 1)}
-    return subcomplex_cohomology_rank(X, s, {}, j, q)
+        rel = {k: _all_cells(X, k) for k in range(X.d + 1)}
+    return _cohomology_rank(X, rel, j, q)
 
 
 def v_gamma(pair: RelPair, gamma: Chain, q: int) -> bool:

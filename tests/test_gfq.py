@@ -148,7 +148,7 @@ def test_gf2_kernel_sample_of_reversed_rows_is_dense_kernel_stream(seed):
     basis = gfq.kernel_basis(m, 2)
     for _ in range(5):
         clone = copy.deepcopy(rng)
-        x = gfq.gf2_kernel_sample(pivots, cols, rng)
+        x = gfq.gf2_kernel_sample(pivots, (1 << cols) - 1, rng)
         f = gfq.bits_to_vector(gfq.bit_reverse(x, cols), cols)
         expected = np.zeros(cols, dtype=np.int64)
         if basis.shape[0]:
@@ -164,7 +164,7 @@ def test_gf2_kernel_sample_lies_in_kernel(seed):
     bit_rows = [gfq.vector_to_bits(r) for r in m]
     pivots = gfq.gf2_ref_bits(bit_rows)
     for _ in range(20):
-        x = gfq.gf2_kernel_sample(pivots, 9, rng)
+        x = gfq.gf2_kernel_sample(pivots, (1 << 9) - 1, rng)
         v = gfq.bits_to_vector(x, 9)
         assert not ((m @ v) % 2).any()
 

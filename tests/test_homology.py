@@ -8,14 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpp_lab import gfq
+from cpp_lab import gfq, homology
 from cpp_lab.complexes import (Chain, ExplicitComplex, PercSubcomplex,
                                boundary_chain, build_box, build_torus,
                                dual_subcomplex, two_squares_complex)
 from cpp_lab.homology import (RelPair, _restricted_delta, betti, cocycle_matrix,
                               cocycle_system, euler_characteristic, min_area,
-                              rel_betti, relative_cocycle_space, v_gamma)
-from cpp_lab.errors import BudgetExceeded
+                              rel_betti, relative_cocycle_space,
+                              subcomplex_cohomology_rank, v_gamma)
+from cpp_lab.errors import BudgetExceeded, DimensionMismatch
 from cpp_lab.measures import delta_cochain
 
 
@@ -245,6 +246,109 @@ def test_cocycle_system_releases_the_old_system_before_building(monkeypatch, q, 
     cocycle_system(X, 1, q, 0b111, 0)
     assert seen == [False]
     assert X.cache["cocycle_system"][0] == (1, q, 0b111, 0)
+
+
+def dense_cohomology_rank(X, rel: dict[int, list[int]], j: int, q: int) -> int:
+    """rank H^j of the cochain complex on the cell ids rel[k] (a missing key
+    means none): dim ker delta_j - rank delta_(j-1), each delta_k the slice
+    of the dense boundary_matrix(k+1, q).T on rows rel[k+1], cols rel[k]."""
+    def delta_rank(k):
+        rows, cols = rel.get(k + 1, []), rel.get(k, [])
+        if not rows or not cols:
+            return 0
+        return gfq.rank(X.boundary_matrix(k + 1, q).T[np.ix_(rows, cols)], q)
+
+    return len(rel.get(j, [])) - delta_rank(j) - delta_rank(j - 1)
+
+
+def pair_rel_ids(pair: RelPair) -> dict[int, list[int]]:
+    """The relative cells of (P2, P1): closed i-cells, open (i+1)-cells."""
+    closed = set(range(pair.complex.num_cells(pair.i))) - set(pair.P1.open_ids())
+    return {pair.i: sorted(closed), pair.i + 1: pair.P2.open_ids()}
+
+
+BETTI_COMPLEXES = (build_box(2, [2, 2]), build_box(3, [1, 2, 1]), build_torus(2, 1),
+                   build_torus(2, 2), build_torus(3, 1), build_torus(3, 2),
+                   two_squares_complex(), RAGGED)
+
+
+@st.composite
+def subcomplex_cases(draw):
+    X = draw(st.sampled_from(BETTI_COMPLEXES))
+    q = draw(st.sampled_from([2, 3, 5]))
+    # per dimension: S as a set or None (all cells), A as a subset of S or
+    # missing (no cells)
+    s_cells, a_cells = {}, {}
+    for k in range(X.d + 1):
+        full = (1 << X.num_cells(k)) - 1
+        s = draw(st.integers(0, full))
+        s_cells[k] = None if s == full and draw(st.booleans()) else set(gfq.bit_ids(s))
+        a = s & draw(st.integers(0, full))
+        if a or draw(st.booleans()):
+            a_cells[k] = set(gfq.bit_ids(a))
+    top = draw(st.integers(0, X.d))
+    perc = PercSubcomplex(X, top, draw(st.integers(0, (1 << X.num_cells(top)) - 1)))
+    i = draw(st.integers(0, X.d - 1))
+    pair = RelPair(PercSubcomplex(X, i + 1, draw(st.integers(0, (1 << X.num_cells(i + 1)) - 1))),
+                   PercSubcomplex(X, i, draw(st.integers(0, (1 << X.num_cells(i)) - 1))))
+    return X, q, s_cells, a_cells, perc, pair
+
+
+@settings(max_examples=150, deadline=None)
+@given(subcomplex_cases())
+def test_betti_numbers_agree_with_dense_reference(case):
+    X, q, s_cells, a_cells, perc, pair = case
+    every = {k: list(range(X.num_cells(k))) for k in range(X.d + 1)}
+
+    def ids(cells, k):
+        if k not in cells:
+            return set()
+        return set(every[k]) if cells[k] is None else cells[k]
+
+    rel = {k: sorted(ids(s_cells, k) - ids(a_cells, k)) for k in s_cells}
+    perc_rel = {k: every[k] for k in range(perc.dim)}
+    perc_rel[perc.dim] = perc.open_ids()
+    pair_rel = pair_rel_ids(pair)
+    for j in range(-1, X.d + 2):
+        assert subcomplex_cohomology_rank(X, s_cells, a_cells, j, q) \
+            == dense_cohomology_rank(X, rel, j, q)
+        assert betti(X, j, q) == dense_cohomology_rank(X, every, j, q)
+        assert betti(perc, j, q) == dense_cohomology_rank(X, perc_rel, j, q)
+        assert rel_betti(pair, j, q) == dense_cohomology_rank(X, pair_rel, j, q)
+
+
+def test_subcomplex_cell_ids_outside_the_complex_are_rejected():
+    X = build_box(2, [2, 2])
+    with pytest.raises(DimensionMismatch):
+        subcomplex_cohomology_rank(X, {0: None, 1: {3, 12}}, {}, 1, 2)
+    with pytest.raises(DimensionMismatch):
+        subcomplex_cohomology_rank(X, {0: None, 1: None}, {1: {40}}, 0, 2)
+
+
+def test_betti_numbers_of_large_complexes():
+    assert [betti(build_box(3, [12] * 3), j, 2) for j in range(4)] == [1, 0, 0, 0]
+    torus = build_torus(3, 6)
+    for q in (2, 3):
+        assert [betti(torus, j, q) for j in range(4)] == [1, 3, 3, 1]
+
+
+def test_betti_numbers_at_q2_use_only_the_bitset_route(monkeypatch):
+    rnd = random.Random(43)
+    box, torus = build_box(2, [2, 2]), build_torus(2, 2)
+    pairs = [random_pair(X, i, rnd) for X in (box, torus) for i in (0, 1) for _ in range(4)]
+    expected = [[dense_cohomology_rank(p.complex, pair_rel_ids(p), j, 2) for j in range(3)]
+                for p in pairs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense rank route called")
+
+    monkeypatch.setattr(gfq, "rank", forbidden)
+    monkeypatch.setattr(gfq, "rref", forbidden)
+    monkeypatch.setattr(homology, "_restricted_delta", forbidden)
+    assert [betti(box, j, 2) for j in range(3)] == [1, 0, 0]
+    assert [betti(torus, j, 2) for j in range(3)] == [1, 2, 1]
+    assert [betti(PercSubcomplex.empty(torus, 2), j, 2) for j in range(3)] == [1, 8 - 4 + 1, 0]
+    assert [[rel_betti(p, j, 2) for j in range(3)] for p in pairs] == expected
 
 
 def test_v_gamma_trivial_cases():
