@@ -9,8 +9,8 @@ from .errors import (BudgetExceeded, CppLabError, DegenerateDenominator,
                      DegenerateParameter, DimensionMismatch, DoesNotFit,
                      InvalidDimension, NonPrimeModulus, NotATorus, TooLarge,
                      ValidationError, ZeroInverse)
-from .homology import (CocycleSpace, RelPair, betti, euler_characteristic,
-                       min_area, rel_betti, relative_cocycle_space, v_gamma)
+from .homology import (RelPair, betti, euler_characteristic, min_area,
+                       rel_betti, v_gamma)
 from .measures import (Dist, ModelParams, WilsonResult, cpp_weight,
                        enumerate_kappa, enumerate_mu, enumerate_rho,
                        exact_wilson, ghost_vertex_check, kappa_marginals,

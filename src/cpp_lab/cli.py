@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Every command resolves its configuration (JSON config file overridden by
-flags), runs, writes its artifacts plus a run-manifest JSON, and exits 0
-on success, 2 on validation errors, 3 when an exact computation exceeds
-its size guard or search budget.  Randomized commands take an explicit
---seed or record the generated one in the manifest; re-running a command
-with the manifest's config reproduces byte-identical CSV output.
+Every command resolves its configuration (flags over a JSON config file
+over the flag defaults), runs, writes its artifacts plus a run-manifest
+JSON, and exits 0 on success, 2 on validation errors, 3 when an exact
+computation exceeds its size guard or search budget.  Randomized commands
+take an explicit --seed or record the generated one in the manifest;
+re-running a command with the manifest's config reproduces byte-identical
+CSV output.
 """
 from __future__ import annotations
 
@@ -45,10 +46,9 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--seed", type=int, help="RNG seed (generated and recorded if absent)")
-    p.add_argument("--output-dir", default=".", help="artifact directory")
+    p.add_argument("--output-dir", help="artifact directory (default .)")
     p.add_argument("--tag", help="artifact base name (default: task name)")
-    p.add_argument("--max-states", type=int, default=measures.DEFAULT_STATE_GUARD,
-                   help="exact enumeration guard")
+    p.add_argument("--max-states", type=int, help="exact enumeration guard (default 2^26)")
 
 
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
@@ -69,11 +69,16 @@ def _read_json(path: str, flag: str):
 
 
 _NOT_CONFIG = ("config", "func", "flag_types")
+# applied after the config file, so that only a flag actually given
+# overrides a config value
+_FLAG_DEFAULTS = {"output_dir": ".", "max_states": measures.DEFAULT_STATE_GUARD,
+                  "target": "rho", "exact": False, "mc": False, "quick": False}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """Config file values, converted by the type of the matching flag,
-    overridden by the flags given."""
+    overridden by the flags given; a flag's default fills in a value that
+    neither gives."""
     cfg: dict = {}
     if getattr(args, "config", None):
         loaded = _read_json(args.config, "--config")
@@ -98,6 +103,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if key in _NOT_CONFIG or value is None:
             continue
         cfg[key] = value
+    for key, value in _FLAG_DEFAULTS.items():
+        if key in vars(args):
+            cfg.setdefault(key, value)
     return cfg
 
 
@@ -225,8 +233,14 @@ def _load_gamma(cfg: dict, X, q: int, dim: int) -> Chain:
     n = cfg.get("loop")
     if n is None:
         raise ValidationError("give --loop N or --gamma-file")
+    return _loop_gamma(n, X, q, dim, "--loop")
+
+
+def _loop_gamma(n: int, X, q: int, dim: int, source: str) -> Chain:
+    """The boundary of the n x n rectangle, which pairs only with spins on
+    1-cells."""
     if dim != 1:
-        raise ValidationError(f"--loop builds a 1-chain, but the spins live on {dim}-cells")
+        raise ValidationError(f"{source} builds a 1-chain, but the spins live on {dim}-cells")
     return observables.rect_loop(n, X.d, X, q).gamma
 
 
@@ -239,7 +253,7 @@ def cmd_enumerate(args) -> int:
     cfg = _merge_config(args)
     X = _build_complex(cfg)
     params = _build_params(cfg)
-    target = cfg.get("target", "rho")
+    target = cfg["target"]
     guard = cfg["max_states"]
     if target == "mu":
         dist = measures.enumerate_mu(params, X, guard)
@@ -280,7 +294,7 @@ def cmd_wilson(args) -> int:
     gamma = _load_gamma(cfg, X, params.q, params.i)
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    if cfg.get("exact", False):
+    if cfg["exact"]:
         res = measures.exact_wilson(params, X, gamma, cfg["max_states"])
         report = {
             "mode": "exact",
@@ -308,7 +322,14 @@ def cmd_wilson(args) -> int:
     return 0
 
 
-def _parse_observables(tokens, X, q: int) -> dict:
+def _parse_observables(tokens, X, q: int, dim: int) -> dict:
+    """Observables from a comma list (a flag) or a list of names (a config
+    file)."""
+    if isinstance(tokens, str):
+        tokens = [t for t in tokens.split(",") if t]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValidationError(f"'observables' needs a comma list or a list of names, "
+                              f"got {tokens!r}")
     obs = {}
     for token in tokens:
         if token == "open2":
@@ -324,7 +345,7 @@ def _parse_observables(tokens, X, q: int) -> dict:
                     f"observable {token!r} needs an integer loop side, e.g. {kind}:2") from None
             make = observables.wilson_observable if kind == "wilson" \
                 else observables.vgamma_observable
-            obs[token] = make(observables.rect_loop(n, X.d, X, q).gamma, q)
+            obs[token] = make(_loop_gamma(n, X, q, dim, f"observable {token!r}"), q)
         else:
             raise ValidationError(f"unknown observable {token!r}")
     return obs
@@ -336,10 +357,7 @@ def cmd_sample(args) -> int:
     X = _build_complex(cfg)
     params = _build_params(cfg)
     run = _run_config(cfg, params, 1000)
-    tokens = cfg.get("observables", "open2,open1")
-    if isinstance(tokens, str):
-        tokens = [t for t in tokens.split(",") if t]
-    obs = _parse_observables(tokens, X, params.q)
+    obs = _parse_observables(cfg.get("observables", "open2,open1"), X, params.q, params.i)
     result = sampler.run_chain(X, run, obs, keep_series=True)
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -387,7 +405,7 @@ def cmd_duality_check(args) -> int:
     params = _build_params(cfg)
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    if cfg.get("mc", False):
+    if cfg["mc"]:
         seed = _resolve_seed(cfg)
         report = duality.verify_duality_mc(params, X,
                                            n_samples=cfg.get("sweeps", 100_000),
@@ -429,8 +447,7 @@ def cmd_min_area(args) -> int:
 
 def cmd_selftest(args) -> int:
     cfg = _merge_config(args)
-    quick = bool(cfg.get("quick", False))
-    failures = run_selftest(quick=quick)
+    failures = run_selftest(quick=bool(cfg["quick"]))
     return 0 if failures == 0 else 1
 
 
@@ -454,16 +471,19 @@ def run_selftest(quick: bool = False) -> int:
         )
         check(f"gfq field inverses q={q}", ok)
 
+    def coboundary(X, j):
+        return X.coboundary_matrix(j, range(X.num_cells(j + 1)), range(X.num_cells(j)))
+
     for X in (build_box(2, [2, 2]), build_torus(2, 2), build_torus(3, 2)):
         ok = True
         for j in range(1, X.d):
-            prod = X.boundary_matrix_int(j) @ X.boundary_matrix_int(j + 1)
+            prod = coboundary(X, j) @ coboundary(X, j - 1)
             ok = ok and not prod.any()
         check(f"boundary^2 = 0 on {X.kind} d={X.d}", ok)
 
     fx = two_squares_complex()
     check("worked-example betti", homology.betti(fx, 1, 5) == 1
-          and gfq.rank(fx.boundary_matrix(1, 5), 5) == 5)
+          and gfq.rref(coboundary(fx, 0), 5).rank == 5)
 
     sq = build_box(2, [1, 1])
     p = measures.ModelParams(q=2, i=1, k2=1, k1=1)
@@ -528,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="exact distribution to CSV/JSON")
-    p.add_argument("--target", choices=["mu", "rho", "kappa"], default="rho")
+    p.add_argument("--target", choices=["mu", "rho", "kappa"], help="default rho")
     _add_model_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_enumerate)
@@ -536,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wilson", help="both sides of the Wilson identity")
     p.add_argument("--loop", type=int, help="rectangular loop side n")
     p.add_argument("--gamma-file", help="JSON chain {dim, coeffs}")
-    p.add_argument("--exact", action="store_true", help="full enumeration")
+    p.add_argument("--exact", action="store_true", default=None, help="full enumeration")
     _add_chain_flags(p)
     _add_model_flags(p)
     _add_common_flags(p)
@@ -558,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mf_ratio)
 
     p = sub.add_parser("duality-check", help="exact or MC torus duality check")
-    p.add_argument("--mc", action="store_true", help="statistical check")
+    p.add_argument("--mc", action="store_true", default=None, help="statistical check")
     p.add_argument("--sweeps", type=int, help="MC sample count")
     p.add_argument("--burn-in", type=int)
     _add_model_flags(p)
@@ -574,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_min_area)
 
     p = sub.add_parser("selftest", help="run the invariant suite")
-    p.add_argument("--quick", action="store_true")
+    p.add_argument("--quick", action="store_true", default=None)
     _add_common_flags(p)
     p.set_defaults(func=cmd_selftest)
 

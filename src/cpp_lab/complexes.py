@@ -2,14 +2,14 @@
 
 Both kinds share one core, `CellComplex`: a subclass lists its cells in
 id order and defines `boundary_of(cell)`, and the core derives the sparse
-incidence lists and, scattered from them, the boundary matrices.  All
-structure derived from a complex (also GF(2) face masks, exact pair
-tables and the last relative cocycle system) lives in its one `cache`
-dict, as long as the complex does.
+incidence lists and, scattered from them on demand, restricted integer
+coboundary matrices.  All structure a complex keeps (the incidence lists,
+GF(2) face masks, exact pair tables and the last relative cocycle system)
+lives in its one `cache` dict, as long as the complex does.
 
 Cubical cells are axis-aligned unit cubes identified by (base corner,
 spanned axis set).  Ids are assigned lexicographically on (dirs, base),
-which keeps boundary matrices and RNG streams reproducible across runs.
+which keeps coboundary matrices and RNG streams reproducible across runs.
 
 Boundary convention: a j-cell spanning axes u_1 < ... < u_j has
 
@@ -86,24 +86,26 @@ class CellComplex:
             self.cache[key] = (faces, signs)
         return self.cache[key]
 
-    def boundary_matrix_int(self, j: int) -> np.ndarray:
-        """Integer incidence matrix of the boundary map on j-cells.
+    def coboundary_matrix(self, j: int, rows, cols) -> np.ndarray:
+        """Integer coboundary C^j -> C^(j+1), restricted to the (j+1)-cell ids
+        `rows` and the j-cell ids `cols`, scattered from `incidence(j + 1)`.
 
-        Rows are (j-1)-cells, columns are j-cells.  Coincident faces (N=1
-        tori) have their signed multiplicities summed.
+        The transpose of the boundary matrix on (j+1)-cells when both are
+        full ranges.
         """
-        key = ("boundary", j)
-        if key not in self.cache:
-            if not 1 <= j <= self.d:
-                raise InvalidDimension(f"no boundary map for j = {j}")
-            faces, signs = self.incidence(j)
-            mat = np.zeros((self.num_cells(j - 1), len(faces)), dtype=np.int64)
-            np.add.at(mat, (faces, np.arange(len(faces))[:, None]), signs)
-            self.cache[key] = mat
-        return self.cache[key]
-
-    def boundary_matrix(self, j: int, q: int) -> np.ndarray:
-        return self.boundary_matrix_int(j) % q
+        mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        if not len(rows) or not len(cols):
+            return mat
+        faces, signs = self.incidence(j + 1)
+        rows = np.asarray(rows, dtype=np.int64)
+        col = np.full(self.num_cells(j), -1, dtype=np.int64)
+        col[cols] = np.arange(len(cols))
+        sub = col[faces[rows]]
+        # faces outside `cols` are dropped; coincident faces (period-1 tori) sum;
+        # the zero-sign padding of explicit complexes adds nothing
+        r, k = np.nonzero(sub >= 0)
+        np.add.at(mat, (r, sub[r, k]), signs[rows[r], k])
+        return mat
 
 
 class CubicalComplex(CellComplex):

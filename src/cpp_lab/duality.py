@@ -114,21 +114,17 @@ def verify_duality_mc(params: ModelParams, torus, n_samples: int,
     res = run_chain(torus, cfg, obs)
     res_dual = run_chain(torus, cfg_dual, obs)
 
-    n_i = torus.num_cells(i)
-    n_ip1 = torus.num_cells(i + 1)
+    n_i, n_ip1 = torus.num_cells(i), torus.num_cells(i + 1)
     checks = []
-    # E_dual[|Q2|] = n_i - E[|P1|]  (Q2 = dual of P1)
-    lhs = res_dual.estimates["open2"]
-    rhs_mean = n_i - res.estimates["open1"].mean
-    se = (lhs.std_err ** 2 + res.estimates["open1"].std_err ** 2) ** 0.5
-    checks.append({"name": "dual_open2_vs_closed1", "lhs": lhs.mean, "rhs": rhs_mean,
-                   "combined_se": se, "z": abs(lhs.mean - rhs_mean) / se if se else 0.0})
-    # E_dual[|Q1|] = n_{i+1} - E[|P2|]  (Q1 = dual of P2)
-    lhs = res_dual.estimates["open1"]
-    rhs_mean = n_ip1 - res.estimates["open2"].mean
-    se = (lhs.std_err ** 2 + res.estimates["open2"].std_err ** 2) ** 0.5
-    checks.append({"name": "dual_open1_vs_closed2", "lhs": lhs.mean, "rhs": rhs_mean,
-                   "combined_se": se, "z": abs(lhs.mean - rhs_mean) / se if se else 0.0})
+    # Q2 is the dual of P1 and Q1 that of P2, so E_dual[|Q2|] = n_i - E[|P1|]
+    # and E_dual[|Q1|] = n_(i+1) - E[|P2|]
+    for name, dual_key, key, n in (("dual_open2_vs_closed1", "open2", "open1", n_i),
+                                   ("dual_open1_vs_closed2", "open1", "open2", n_ip1)):
+        lhs, primal = res_dual.estimates[dual_key], res.estimates[key]
+        rhs_mean = n - primal.mean
+        se = (lhs.std_err ** 2 + primal.std_err ** 2) ** 0.5
+        checks.append({"name": name, "lhs": lhs.mean, "rhs": rhs_mean,
+                       "combined_se": se, "z": abs(lhs.mean - rhs_mean) / se if se else 0.0})
     return {
         "checks": checks,
         "max_z": max(c["z"] for c in checks),

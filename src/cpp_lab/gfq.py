@@ -88,24 +88,6 @@ def rref(mat, q: int) -> RrefResult:
     return RrefResult(matrix=m, rank=len(pivots), pivot_cols=tuple(pivots))
 
 
-def rank(mat, q: int) -> int:
-    return rref(mat, q).rank
-
-
-def kernel_basis(mat, q: int) -> np.ndarray:
-    """Basis of {v : mat @ v = 0 mod q}, shape (cols - rank, cols)."""
-    red = rref(mat, q)
-    cols = red.matrix.shape[1]
-    pivset = set(red.pivot_cols)
-    free = [c for c in range(cols) if c not in pivset]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(red.pivot_cols):
-            basis[k, pc] = (-int(red.matrix[r, fc])) % q
-    return basis
-
-
 def reduce_vector(red: RrefResult, vec, q: int) -> np.ndarray:
     """Residual of a row vector after elimination against RREF rows.
 

@@ -41,46 +41,6 @@ class RelPair:
         return self.P1.dim
 
 
-@dataclass(frozen=True)
-class CocycleSpace:
-    pair: RelPair
-    basis: np.ndarray  # shape (dim, n_i)
-    dim: int
-
-
-def cocycle_matrix(pair: RelPair, q: int) -> np.ndarray:
-    """Constraint matrix whose kernel is Z^i(P2, P1): one identity row per
-    open i-cell of P1, one coboundary row per open (i+1)-cell of P2.
-
-    Dense test reference for `cocycle_system`; no production code calls it.
-    """
-    X = pair.complex
-    i = pair.i
-    n_i = X.num_cells(i)
-    rows = []
-    for e in pair.P1.open_ids():
-        r = np.zeros(n_i, dtype=np.int64)
-        r[e] = 1
-        rows.append(r)
-    if X.num_cells(i + 1):
-        delta = X.boundary_matrix(i + 1, q).T  # rows: (i+1)-cells, cols: i-cells
-        for s in pair.P2.open_ids():
-            rows.append(delta[s])
-    if not rows:
-        return np.zeros((0, n_i), dtype=np.int64)
-    return np.vstack(rows)
-
-
-def relative_cocycle_space(pair: RelPair, q: int) -> CocycleSpace:
-    """Basis of the compatible cochains Z^i(P2, P1) over GF(q).
-
-    Dense test reference for `cocycle_system`; no production code calls it.
-    """
-    gfq.require_prime(q)
-    basis = gfq.kernel_basis(cocycle_matrix(pair, q), q)
-    return CocycleSpace(pair=pair, basis=basis, dim=basis.shape[0])
-
-
 def _face_masks(X, j: int) -> list[int]:
     """GF(2) boundary rows of j-cells as bit masks, (j-1)-cell k at bit
     n_(j-1)-1-k (the `CocycleSystem` convention)."""
@@ -180,33 +140,10 @@ def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
         system = CocycleSystem(q, n_i, closed, closed.bit_count() - len(pivots), pivots=pivots)
     else:
         closed = np.flatnonzero(gfq.bits_to_vector(bits1, n_i) == 0)
-        red = gfq.rref(_restricted_delta(X, i, gfq.bit_ids(bits2), closed), q)
+        red = gfq.rref(X.coboundary_matrix(i, gfq.bit_ids(bits2), closed), q)
         system = CocycleSystem(q, n_i, closed, len(closed) - red.rank, red=red)
     X.cache["cocycle_system"] = (key, system)
     return system
-
-
-def pair_cocycle_dim(X, i: int, q: int, bits2: int, bits1: int) -> int:
-    """dim Z^i(P2, P1) for the pair given as bitsets; equals b_i(P2, P1)."""
-    return cocycle_system(X, i, q, bits2, bits1).dim
-
-
-def _restricted_delta(X, j: int, rows, cols) -> np.ndarray:
-    """Integer coboundary C^j -> C^(j+1), restricted to the (j+1)-cell ids
-    `rows` and the j-cell ids `cols`, scattered from `X.incidence(j + 1)`."""
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    if not len(rows) or not len(cols):
-        return mat
-    faces, signs = X.incidence(j + 1)
-    rows = np.asarray(rows, dtype=np.int64)
-    col = np.full(X.num_cells(j), -1, dtype=np.int64)
-    col[cols] = np.arange(len(cols))
-    sub = col[faces[rows]]
-    # faces outside `cols` are dropped; coincident faces (period-1 tori) sum;
-    # the zero-sign padding of explicit complexes adds nothing
-    r, k = np.nonzero(sub >= 0)
-    np.add.at(mat, (r, sub[r, k]), signs[rows[r], k])
-    return mat
 
 
 def _all_cells(X, k: int) -> int:

@@ -143,7 +143,7 @@ def cpp_weight(P2: PercSubcomplex, P1: PercSubcomplex, params: ModelParams, X) -
     w = _count_factor(params, X, P2.count, P1.count)
     if w == 0:
         return w
-    b = homology.pair_cocycle_dim(X, params.i, params.q, P2.bits, P1.bits)
+    b = homology.cocycle_system(X, params.i, params.q, P2.bits, P1.bits).dim
     return w * params.r ** b
 
 
@@ -560,28 +560,16 @@ def bernoulli_bits_dist(n: int, p: Fraction) -> Dist:
 
 
 def prcm_dist(X, j: int, q: int, p: Fraction,
-              coefficient_q: int | None = None,
               max_states: int = DEFAULT_STATE_GUARD) -> Dist:
     """The j-dimensional plaquette random cluster model on X.
 
-    Weight p^|P| (1-p)^(n-|P|) * |H^(j-1)(P; Z_q)|; coefficient_q = 1 gives
-    Bernoulli percolation.
+    Weight p^|P| (1-p)^(n-|P|) * |H^(j-1)(P; Z_q)|.
     """
-    p = Fraction(p)
     n = X.num_cells(j)
     _guard(1 << n, max_states)
-    cq = q if coefficient_q is None else coefficient_q
-    weights = {}
-    for bits in range(1 << n):
-        c = bits.bit_count()
-        w = p ** c * (1 - p) ** (n - c)
-        if w == 0:
-            continue
-        if cq != 1:
-            P = PercSubcomplex(X, j, bits)
-            w *= Fraction(cq) ** homology.betti(P, j - 1, q)
-        weights[bits] = w
-    return Dist.from_weights(weights)
+    return Dist.from_weights({
+        bits: w * Fraction(q) ** homology.betti(PercSubcomplex(X, j, bits), j - 1, q)
+        for bits, w in bernoulli_bits_dist(n, p).entries.items()})
 
 
 def one_point_conditional(params: ModelParams, X, bits2: int, bits1: int,

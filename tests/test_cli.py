@@ -151,14 +151,40 @@ def test_config_file_with_flag_override(tmp_path):
     assert manifest["config"]["k1"] == "2"
 
 
-def test_manifest_round_trip_reproduces_output(tmp_path):
-    args = ["enumerate", "--target", "rho", *BASE_MODEL, "--tag", "orig"]
-    assert run_cli(args, tmp_path) == 0
-    manifest_path = tmp_path / "orig-manifest.json"
-    code = main(["enumerate", "--config", str(manifest_path),
-                 "--output-dir", str(tmp_path), "--tag", "redo"])
-    assert code == 0
-    assert (tmp_path / "orig.csv").read_bytes() == (tmp_path / "redo.csv").read_bytes()
+def test_manifest_round_trip_reproduces_output(tmp_path, capsys):
+    for args, output in (
+            (["enumerate", "--target", "rho", *BASE_MODEL], "{tag}.csv"),
+            (["wilson", *BASE_MODEL, "--widths", "2,2", "--loop", "2", "--exact"], None),
+            (["duality-check", "--d", "2", "--q", "2", "--i", "0", "--geometry", "torus",
+              "--side", "2", "--k2", "1", "--k1", "2"], "{tag}.json")):
+        assert run_cli(args + ["--tag", "orig"], tmp_path) == 0
+        first = capsys.readouterr().out
+        manifest_path = tmp_path / "orig-manifest.json"
+        code = main([args[0], "--config", str(manifest_path),
+                     "--output-dir", str(tmp_path), "--tag", "redo"])
+        assert code == 0
+        assert capsys.readouterr().out == first.replace("orig", "redo")
+        redo = json.loads((tmp_path / "redo-manifest.json").read_text())
+        assert redo["result"] == json.loads(manifest_path.read_text())["result"]
+        if output:
+            assert ((tmp_path / output.format(tag="orig")).read_bytes()
+                    == (tmp_path / output.format(tag="redo")).read_bytes())
+
+
+def test_config_file_values_are_not_overridden_by_flag_defaults(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = {"d": 2, "q": 2, "i": 1, "widths": "1,1", "k2": "1", "k1": "1",
+           "output_dir": "out"}
+    (tmp_path / "conf.json").write_text(json.dumps(cfg))
+    assert main(["enumerate", "--config", "conf.json"]) == 0
+    assert (tmp_path / "out" / "enumerate-rho.csv").exists()
+    assert not (tmp_path / "enumerate-rho.csv").exists()
+    (tmp_path / "conf.json").write_text(json.dumps({**cfg, "max_states": 4}))
+    assert main(["enumerate", "--config", "conf.json", "--tag", "guarded"]) == 3
+    assert not list(tmp_path.rglob("guarded*"))
+    assert main(["enumerate", "--config", "conf.json", "--tag", "flag",
+                 "--max-states", "64"]) == 0
+    assert (tmp_path / "out" / "flag.csv").exists()
 
 
 def test_console_entry_point_runs():
@@ -235,6 +261,12 @@ CONFIG_22 = {"d": 2, "q": 2, "i": 1, "widths": "2,2", "p2": "0.5", "p1": "0.5",
     (["sample", "--config", {**CONFIG_22, "widths": [1, "x"]}], None, "--widths"),
     (["enumerate", "--config", {"d": 2, "q": 2, "widths": "1,1", "k2": "1", "k1": "1",
                                 "geometry": "sphere"}], None, "'geometry'"),
+    (SAMPLE_22 + ["--i", "0", "--observables", "wilson:2"], None, "'wilson:2' builds a 1-chain"),
+    (["sample", "--d", "3", "--q", "2", "--widths", "3,3,3", "--i", "2", "--p2", "0.5",
+      "--p1", "0.5", "--samples", "5", "--burn-in", "1", "--seed", "1",
+      "--observables", "wilson:2"], None, "'wilson:2' builds a 1-chain"),
+    (["sample", "--config", {**CONFIG_22, "observables": ["open2", 3]}], None,
+     "'observables'"),
 ])
 def test_bad_cli_input_exits_2_with_a_message(args, gamma, message,
                                               tmp_path, monkeypatch, capsys):

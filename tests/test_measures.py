@@ -11,7 +11,7 @@ from cpp_lab.complexes import (Chain, ExplicitComplex, PercSubcomplex,
                                boundary_chain, build_box, build_torus)
 from cpp_lab.errors import (DegenerateParameter, DimensionMismatch, TooLarge,
                             ValidationError)
-from cpp_lab.homology import RelPair, pair_cocycle_dim, v_gamma
+from cpp_lab.homology import RelPair, cocycle_system, v_gamma
 from cpp_lab.observables import rect_loop
 from test_homology import triangle_and_square_complex
 
@@ -98,7 +98,7 @@ def test_weights_match_the_per_cell_rule_at_boundary_parameters(q):
                 factor *= _site_rule(k1, P1.has(e), True)
             for s in range(n2):
                 factor *= _site_rule(k2, P2.has(s), True)
-            b = pair_cocycle_dim(X, 1, q, bits2, bits1)
+            b = cocycle_system(X, 1, q, bits2, bits1).dim
             assert M.cpp_weight(P2, P1, p, X) == factor * Fraction(q) ** b
             for f in itertools.product(range(q), repeat=n1):
                 fv = np.array(f)

@@ -12,9 +12,10 @@ from cpp_lab import measures as M
 from cpp_lab import sampler as S
 from cpp_lab.complexes import PercSubcomplex, boundary_chain, build_box
 from cpp_lab.errors import ValidationError
-from cpp_lab.homology import RelPair, relative_cocycle_space, v_gamma
+from cpp_lab.homology import RelPair, v_gamma
 from cpp_lab.observables import (open_count_observable, rect_loop, vgamma_observable,
                                  wilson_observable)
+from dense_reference import cocycle_basis
 
 SQUARE = build_box(2, [1, 1])
 
@@ -83,7 +84,7 @@ def test_resample_spins_uniform_on_face_constrained_square():
     rng = S.chain_rng(3)
     P2 = PercSubcomplex.full(SQUARE, 2)
     P1 = PercSubcomplex.empty(SQUARE, 1)
-    assert relative_cocycle_space(RelPair(P2, P1), 2).dim == 3
+    assert len(cocycle_basis(RelPair(P2, P1), 2)) == 3
     n = 4000
     counts = {}
     for _ in range(n):
