@@ -20,5 +20,5 @@ from .observables import (Estimate, LoopFamily, mf_ratio, perimeter,
 from .sampler import (ChainState, RunConfig, mf_ratio_scan,
                       resample_percolation, resample_spins, run_chain,
                       sample_general_gauge, sweep)
-from .duality import (DualParams, dual_params, dual_state,
-                      verify_duality_exact, verify_duality_mc)
+from .duality import (dual_params, dual_state, verify_duality_exact,
+                      verify_duality_mc)

@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Every command resolves its configuration (flags over a JSON config file
-over the flag defaults), runs, writes its artifacts plus a run-manifest
-JSON, and exits 0 on success, 2 on validation errors, 3 when an exact
-computation exceeds its size guard or search budget.  Randomized commands
-take an explicit --seed or record the generated one in the manifest;
-re-running a command with the manifest's config reproduces byte-identical
-CSV output.
+Every command resolves its settings (a flag given over a JSON config file
+over the flag's default), runs, and exits 0 on success, 1 when a check
+fails (a duality-check VIOLATION, selftest failures), 2 on validation
+errors, 3 when an exact computation exceeds its size guard or search
+budget.  Every command but selftest writes its artifacts plus a
+run-manifest JSON that echoes every resolved setting.  Randomized
+commands take an explicit --seed or record the generated one in the
+manifest; re-running a command with the manifest as its --config
+reproduces byte-identical CSV output.
 """
 from __future__ import annotations
 
@@ -16,46 +18,16 @@ import json
 import secrets
 import sys
 import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__, duality, gfq, homology, measures, observables, sampler
 from .complexes import (Chain, build_box, build_torus, complex_to_json)
 from .errors import BudgetExceeded, CppLabError, TooLarge, ValidationError
-
-MODEL_KEYS = ("q", "i", "d", "geometry", "widths", "side",
-              "k2", "k1", "p2", "p1", "r")
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=int, help="prime modulus")
-    p.add_argument("--i", type=int, help="spin dimension (default 1)")
-    p.add_argument("--d", type=int, help="ambient dimension")
-    p.add_argument("--geometry", choices=["box", "torus"], help="default box")
-    p.add_argument("--widths", help="comma-separated box widths, e.g. 2,2")
-    p.add_argument("--side", type=int, help="torus period (or box side shortcut)")
-    p.add_argument("--k2", help="k2 = e^beta2 - 1, exact rational like 1 or 3/2")
-    p.add_argument("--k1", help="k1 = e^beta1 - 1, exact rational")
-    p.add_argument("--p2", help="plaquette probability (alternative to k2)")
-    p.add_argument("--p1", help="cell probability (alternative to k1)")
-    p.add_argument("--r", help="auxiliary cohomology weight base (default q)")
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--seed", type=int, help="RNG seed (generated and recorded if absent)")
-    p.add_argument("--output-dir", help="artifact directory (default .)")
-    p.add_argument("--tag", help="artifact base name (default: task name)")
-    p.add_argument("--max-states", type=int, help="exact enumeration guard (default 2^26)")
-
-
-def _add_chain_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", type=int)
-    p.add_argument("--burn-in", type=int)
-    p.add_argument("--thinning", type=int)
-    p.add_argument("--chains", type=int)
 
 
 def _read_json(path: str, flag: str):
@@ -68,44 +40,46 @@ def _read_json(path: str, flag: str):
         raise ValidationError(f"cannot read {flag} {path!r}: {exc}") from None
 
 
-_NOT_CONFIG = ("config", "func", "flag_types")
-# applied after the config file, so that only a flag actually given
-# overrides a config value
-_FLAG_DEFAULTS = {"output_dir": ".", "max_states": measures.DEFAULT_STATE_GUARD,
-                  "target": "rho", "exact": False, "mc": False, "quick": False}
+def _config_value(action: argparse.Action, value):
+    """A config file value, checked and converted like the flag `action`."""
+    ok = True
+    if action.nargs == 0:
+        ok, want = isinstance(value, bool), "true or false"
+    elif action.type is str:
+        ok, want = isinstance(value, str), "a string"
+    elif action.type is int:
+        want = "an integer"
+        try:
+            value = int(str(value))
+        except ValueError:
+            ok = False
+    if ok and action.choices is not None:
+        ok, want = value in action.choices, "one of " + ", ".join(action.choices)
+    if not ok:
+        raise ValidationError(f"config key {action.dest!r} needs {want}, got {value!r}")
+    return value
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Config file values, converted by the type of the matching flag,
-    overridden by the flags given; a flag's default fills in a value that
-    neither gives."""
-    cfg: dict = {}
-    if getattr(args, "config", None):
+def _resolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """The settings of one command: a flag given, over the --config file
+    (a plain object, or a run manifest's "config"), over the flag's
+    default.  `parser` is the command's subparser."""
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    cfg = {dest: a.default for dest, a in actions.items() if a.default is not None}
+    if args.config is not None:
         loaded = _read_json(args.config, "--config")
         if isinstance(loaded, dict):
             loaded = loaded.get("config", loaded)
         if not isinstance(loaded, dict):
             raise ValidationError("config file must hold a JSON object")
-        known = set(vars(args)) - set(_NOT_CONFIG)
-        unknown = sorted(set(loaded) - known)
+        unknown = sorted(set(loaded) - set(actions) - {"command"})
         if unknown:
             raise ValidationError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
-        for key, value in loaded.items():
-            convert = args.flag_types.get(key)
-            if convert is not None:
-                try:
-                    value = convert(str(value))
-                except ValueError:
-                    raise ValidationError(f"config key {key!r} needs a value of type "
-                                          f"{convert.__name__}, got {value!r}") from None
-            cfg[key] = value
-    for key, value in vars(args).items():
-        if key in _NOT_CONFIG or value is None:
-            continue
-        cfg[key] = value
-    for key, value in _FLAG_DEFAULTS.items():
-        if key in vars(args):
-            cfg.setdefault(key, value)
+        cfg.update((key, _config_value(actions[key], value))
+                   for key, value in loaded.items() if key != "command")
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key in actions and value is not None)
+    cfg["command"] = args.command
     return cfg
 
 
@@ -123,10 +97,7 @@ def _build_complex(cfg: dict):
     d = cfg.get("d")
     if d is None:
         raise ValidationError("missing --d")
-    geometry = cfg.get("geometry", "box")
-    if geometry not in ("box", "torus"):
-        raise ValidationError(f"'geometry' must be 'box' or 'torus', got {geometry!r}")
-    if geometry == "torus":
+    if cfg["geometry"] == "torus":
         side = cfg.get("side")
         if side is None:
             raise ValidationError("torus geometry needs --side")
@@ -153,9 +124,8 @@ def _build_params(cfg: dict) -> measures.ModelParams:
     q = cfg.get("q")
     if q is None:
         raise ValidationError("missing --q")
-    i = cfg.get("i", 1)
-    d = cfg["d"]
-    if not isinstance(i, int) or not 0 <= i < d:
+    i, d = cfg["i"], cfg["d"]
+    if not 0 <= i < d:
         raise ValidationError(f"--i must satisfy 0 <= i < d = {d}, got {i!r}")
     have_k = cfg.get("k2") is not None or cfg.get("k1") is not None
     have_p = cfg.get("p2") is not None or cfg.get("p1") is not None
@@ -177,40 +147,43 @@ def _resolve_seed(cfg: dict) -> int:
     if seed is None:
         seed = secrets.randbits(48)
         cfg["seed"] = seed
-    if not isinstance(seed, int) or seed < 0:
+    if seed < 0:
         raise ValidationError(f"--seed must be a non-negative integer, got {seed!r}")
     return seed
 
 
-def _run_config(cfg: dict, params: measures.ModelParams,
-                default_samples: int) -> sampler.RunConfig:
+def _run_config(cfg: dict, params: measures.ModelParams) -> sampler.RunConfig:
     """Chain settings of a Monte Carlo command; resolves the seed."""
     return sampler.RunConfig(q=params.q, i=params.i,
                              p2=float(params.p2), p1=float(params.p1),
-                             n_samples=cfg.get("samples", default_samples),
-                             burn_in=cfg.get("burn_in", 10_000),
-                             thinning=cfg.get("thinning", 1), seed=_resolve_seed(cfg),
-                             n_chains=cfg.get("chains", 1))
+                             n_samples=cfg["samples"], burn_in=cfg["burn_in"],
+                             thinning=cfg["thinning"], seed=_resolve_seed(cfg),
+                             n_chains=cfg["chains"])
 
 
-def _manifest(task: str, cfg: dict, outputs: list[str], outdir: Path,
-              started: float, extra: dict | None = None) -> Path:
-    tag = cfg.get("tag", task)
+def _artifact(cfg: dict, suffix: str) -> Path:
+    """The output file `<tag><suffix>` in the output directory, which is
+    created if missing."""
+    outdir = Path(cfg["output_dir"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir / f"{cfg['tag']}{suffix}"
+
+
+def _write_manifest(task: str, cfg: dict, outputs: list[Path], started: float,
+                    result: dict | None) -> None:
     payload = {
         "task": task,
-        "config": {k: v for k, v in cfg.items() if k != "func"},
+        "config": cfg,
         "seed": cfg.get("seed"),
         "versions": {"cpp_lab": __version__, "numpy": np.__version__},
         "elapsed_s": round(time.time() - started, 3),
-        "outputs": outputs,
+        "outputs": [str(path) for path in outputs],
     }
-    if extra:
-        payload["result"] = extra
-    path = outdir / f"{tag}-manifest.json"
-    with open(path, "w") as fh:
+    if result:
+        payload["result"] = result
+    with open(_artifact(cfg, "-manifest.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
-    return path
 
 
 def _load_gamma(cfg: dict, X, q: int, dim: int) -> Chain:
@@ -245,55 +218,44 @@ def _loop_gamma(n: int, X, q: int, dim: int, source: str) -> Chain:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# command bodies: each takes the resolved settings and returns the paths it
+# wrote, the result recorded in the manifest, and the exit code
 # ---------------------------------------------------------------------------
 
-def cmd_enumerate(args) -> int:
-    started = time.time()
-    cfg = _merge_config(args)
+Outcome = tuple[list[Path], dict | None, int]
+
+# enumerator and CSV/JSON state key of each --target
+_TARGETS = {
+    "mu": (measures.enumerate_mu, lambda k: "".join(str(v) for v in k)),
+    "rho": (measures.enumerate_rho, lambda k: f"{k[0]}:{k[1]}"),
+    "kappa": (measures.enumerate_kappa,
+              lambda k: "".join(str(v) for v in k[0]) + f":{k[1]}:{k[2]}"),
+}
+
+
+def _enumerate(cfg: dict) -> Outcome:
     X = _build_complex(cfg)
     params = _build_params(cfg)
-    target = cfg["target"]
-    guard = cfg["max_states"]
-    if target == "mu":
-        dist = measures.enumerate_mu(params, X, guard)
-        key_str = lambda k: "".join(str(v) for v in k)
-    elif target == "rho":
-        dist = measures.enumerate_rho(params, X, guard)
-        key_str = lambda k: f"{k[0]}:{k[1]}"
-    elif target == "kappa":
-        dist = measures.enumerate_kappa(params, X, guard)
-        key_str = lambda k: "".join(str(v) for v in k[0]) + f":{k[1]}:{k[2]}"
-    else:
-        raise ValidationError(f"unknown target {target!r}")
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    tag = cfg.get("tag", f"enumerate-{target}")
-    cfg["tag"] = tag
-    csv_path = outdir / f"{tag}.csv"
+    enumerate_dist, key_str = _TARGETS[cfg["target"]]
+    dist = enumerate_dist(params, X, cfg["max_states"])
+    csv_path = _artifact(cfg, ".csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["config", "weight_num", "weight_den"])
         writer.writerows(dist.csv_rows(key_str))
-    json_path = outdir / f"{tag}.json"
+    json_path = _artifact(cfg, ".json")
     with open(json_path, "w") as fh:
         json.dump({"complex": complex_to_json(X), "dist": dist.to_json(key_str)},
                   fh, sort_keys=True)
         fh.write("\n")
-    _manifest("enumerate", cfg, [str(csv_path), str(json_path)], outdir, started,
-              {"states": len(dist.entries)})
     print(f"wrote {csv_path} ({len(dist.entries)} states)")
-    return 0
+    return [csv_path, json_path], {"states": len(dist.entries)}, 0
 
 
-def cmd_wilson(args) -> int:
-    started = time.time()
-    cfg = _merge_config(args)
+def _wilson(cfg: dict) -> Outcome:
     X = _build_complex(cfg)
     params = _build_params(cfg)
     gamma = _load_gamma(cfg, X, params.q, params.i)
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
     if cfg["exact"]:
         res = measures.exact_wilson(params, X, gamma, cfg["max_states"])
         report = {
@@ -306,7 +268,7 @@ def cmd_wilson(args) -> int:
         print(f"rho(V)  = {report['percolation_side']}")
         print(f"|diff|  = {res.abs_difference:.3e}")
     else:
-        res = sampler.run_chain(X, _run_config(cfg, params, 10_000), {
+        res = sampler.run_chain(X, _run_config(cfg, params), {
             "wilson": observables.wilson_observable(gamma, params.q),
             "vgamma": observables.vgamma_observable(gamma, params.q),
         })
@@ -318,8 +280,7 @@ def cmd_wilson(args) -> int:
         }
         print(f"E[W] = {w.mean:.5f} +- {w.std_err:.5f}")
         print(f"P(V) = {v.mean:.5f} +- {v.std_err:.5f}")
-    _manifest("wilson", cfg, [], outdir, started, report)
-    return 0
+    return [], report, 0
 
 
 def _parse_observables(tokens, X, q: int, dim: int) -> dict:
@@ -351,66 +312,43 @@ def _parse_observables(tokens, X, q: int, dim: int) -> dict:
     return obs
 
 
-def cmd_sample(args) -> int:
-    started = time.time()
-    cfg = _merge_config(args)
+def _sample(cfg: dict) -> Outcome:
     X = _build_complex(cfg)
     params = _build_params(cfg)
-    run = _run_config(cfg, params, 1000)
-    obs = _parse_observables(cfg.get("observables", "open2,open1"), X, params.q, params.i)
+    run = _run_config(cfg, params)
+    obs = _parse_observables(cfg["observables"], X, params.q, params.i)
     result = sampler.run_chain(X, run, obs, keep_series=True)
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    tag = cfg.get("tag", "sample")
-    cfg["tag"] = tag
-    series_path = outdir / f"{tag}-series.csv"
+    series_path = _artifact(cfg, "-series.csv")
     sampler.write_series_csv(series_path, result)
     summary = {
         name: {"mean": est.mean, "std_err": est.std_err, "n": est.n_samples}
         for name, est in sorted(result.estimates.items())
     }
-    _manifest("sample", cfg, [str(series_path)], outdir, started, summary)
     for name, stats in summary.items():
         print(f"{name}: {stats['mean']:.5f} +- {stats['std_err']:.5f}")
     print(f"wrote {series_path}")
-    return 0
+    return [series_path], summary, 0
 
 
-def cmd_mf_ratio(args) -> int:
-    started = time.time()
-    cfg = _merge_config(args)
+def _mf_ratio(cfg: dict) -> Outcome:
     X = _build_complex(cfg)
     params = _build_params(cfg)
-    run = _run_config(cfg, params, 2000)
-    ns = _int_list(cfg.get("n", "2,4,6"), "--n")
-    rows = sampler.mf_ratio_scan(X, run, ns, route=cfg.get("route", "wilson"))
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    tag = cfg.get("tag", "mf-ratio")
-    cfg["tag"] = tag
-    csv_path = outdir / f"{tag}.csv"
+    run = _run_config(cfg, params)
+    rows = sampler.mf_ratio_scan(X, run, _int_list(cfg["n"], "--n"), route=cfg["route"])
+    csv_path = _artifact(cfg, ".csv")
     observables.write_mf_csv(csv_path, rows)
-    _manifest("mf-ratio", cfg, [str(csv_path)], outdir, started)
     for r in rows:
         print(f"n={r['n']}: R = {r['estimate']:.5f} +- {r['std_err']:.5f}")
     print(f"wrote {csv_path}")
-    return 0
+    return [csv_path], None, 0
 
 
-def cmd_duality_check(args) -> int:
-    started = time.time()
-    cfg = _merge_config(args)
-    cfg.setdefault("geometry", "torus")
+def _duality_check(cfg: dict) -> Outcome:
     X = _build_complex(cfg)
     params = _build_params(cfg)
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
     if cfg["mc"]:
-        seed = _resolve_seed(cfg)
-        report = duality.verify_duality_mc(params, X,
-                                           n_samples=cfg.get("sweeps", 100_000),
-                                           burn_in=cfg.get("burn_in", 500),
-                                           seed=seed)
+        report = duality.verify_duality_mc(params, X, n_samples=cfg["sweeps"],
+                                           burn_in=cfg["burn_in"], seed=_resolve_seed(cfg))
         ok = report["max_z"] <= 4.0
         print(f"max |z| = {report['max_z']:.2f} over {len(report['checks'])} checks"
               f" -> {'ok' if ok else 'VIOLATION'}")
@@ -419,36 +357,26 @@ def cmd_duality_check(args) -> int:
         ok = report["max_discrepancy"] == "0"
         print(f"max discrepancy = {report['max_discrepancy']} over "
               f"{report['states_checked']} states -> {'ok' if ok else 'VIOLATION'}")
-    tag = cfg.get("tag", "duality-check")
-    cfg["tag"] = tag
-    json_path = outdir / f"{tag}.json"
+    json_path = _artifact(cfg, ".json")
     with open(json_path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _manifest("duality-check", cfg, [str(json_path)], outdir, started, report)
-    return 0 if ok else 1
+    return [json_path], report, 0 if ok else 1
 
 
-def cmd_min_area(args) -> int:
-    started = time.time()
-    cfg = _merge_config(args)
+def _min_area(cfg: dict) -> Outcome:
     X = _build_complex(cfg)
-    q = cfg.get("q", 2)
+    q = cfg["q"]
     gfq.require_prime(q)
     gamma = _load_gamma(cfg, X, q, 1)
-    area = homology.min_area(gamma, X, q, budget=cfg.get("budget", 1_000_000))
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    area = homology.min_area(gamma, X, q, budget=cfg["budget"])
     report = {"area": area, "perimeter": observables.perimeter(gamma), "q": q}
-    _manifest("min-area", cfg, [], outdir, started, report)
     print(f"perimeter = {report['perimeter']}, min area = {area}")
-    return 0
+    return [], report, 0
 
 
-def cmd_selftest(args) -> int:
-    cfg = _merge_config(args)
-    failures = run_selftest(quick=bool(cfg["quick"]))
-    return 0 if failures == 0 else 1
+def _selftest(cfg: dict) -> Outcome:
+    return [], None, 0 if run_selftest(quick=cfg["quick"]) == 0 else 1
 
 
 def run_selftest(quick: bool = False) -> int:
@@ -537,6 +465,97 @@ def run_selftest(quick: bool = False) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
+# Every flag, keyed by its setting.  A flag's default is its setting's
+# default; a command may declare its own default in Command.defaults.
+FLAGS = {
+    "config": dict(help="JSON config file or run manifest; flags given override its fields"),
+    "seed": dict(type=int, help="RNG seed (generated and recorded if absent)"),
+    "output_dir": dict(type=str, default=".", help="artifact directory"),
+    "tag": dict(type=str, help="artifact base name"),
+    "max_states": dict(type=int, default=measures.DEFAULT_STATE_GUARD, help="enumeration guard"),
+    "q": dict(type=int, help="prime modulus"),
+    "i": dict(type=int, default=1, help="spin dimension"),
+    "d": dict(type=int, help="ambient dimension"),
+    "geometry": dict(choices=("box", "torus"), default="box", help="cell complex"),
+    "widths": dict(help="comma-separated box widths, e.g. 2,2"),
+    "side": dict(type=int, help="torus period (or box side shortcut)"),
+    "k2": dict(help="k2 = e^beta2 - 1, exact rational like 1 or 3/2"),
+    "k1": dict(help="k1 = e^beta1 - 1, exact rational"),
+    "p2": dict(help="plaquette probability (alternative to k2)"),
+    "p1": dict(help="cell probability (alternative to k1)"),
+    "r": dict(help="auxiliary cohomology weight base; q if absent"),
+    "samples": dict(type=int, help="samples per chain"),
+    "burn_in": dict(type=int, default=10_000, help="sweeps discarded before sampling"),
+    "thinning": dict(type=int, default=1, help="sweeps per sample"),
+    "chains": dict(type=int, default=1, help="independent chains"),
+    "target": dict(choices=tuple(_TARGETS), default="rho", help="distribution"),
+    "loop": dict(type=int, help="rectangular loop side n"),
+    "gamma_file": dict(help="JSON chain {dim, coeffs}"),
+    "exact": dict(action="store_true", help="full enumeration instead of Monte Carlo"),
+    "observables": dict(default="open2,open1", help="comma list of open2,open1,wilson:N,vgamma:N"),
+    "n": dict(default="2,4,6", help="comma list of loop sides"),
+    "route": dict(choices=("wilson", "topological"), default="wilson", help="ratio observable"),
+    "mc": dict(action="store_true", help="statistical check instead of enumeration"),
+    "sweeps": dict(type=int, default=100_000, help="MC sample count"),
+    "budget": dict(type=int, default=1_000_000, help="search budget"),
+    "quick": dict(action="store_true", help="fewer random cases"),
+}
+
+_MODEL = ("q", "i", "d", "geometry", "widths", "side", "k2", "k1", "p2", "p1", "r")
+_CHAIN = ("samples", "burn_in", "thinning", "chains")
+_RUN = ("config", "seed", "output_dir", "tag", "max_states")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: the settings it reads (keys of FLAGS), the body that
+    runs on them, and the default artifact base name, formatted with the
+    settings.  A command without a tag writes no files."""
+    help: str
+    body: Callable[[dict], Outcome]
+    flags: tuple[str, ...]
+    tag: str | None = None
+    defaults: dict = field(default_factory=dict)
+
+
+COMMANDS = {
+    "enumerate": Command("exact distribution to CSV/JSON", _enumerate,
+                         ("target", *_MODEL, "config", "output_dir", "tag", "max_states"),
+                         "enumerate-{target}"),
+    "wilson": Command("both sides of the Wilson identity", _wilson,
+                      ("loop", "gamma_file", "exact", *_CHAIN, *_MODEL, *_RUN),
+                      "wilson", {"samples": 10_000}),
+    "sample": Command("run chains, write series CSV", _sample,
+                      (*_CHAIN, "observables", *_MODEL, *_RUN),
+                      "sample", {"samples": 1000}),
+    "mf-ratio": Command("finite-n Marcu-Fredenhagen ratio scan", _mf_ratio,
+                        ("n", *_CHAIN, "route", *_MODEL, *_RUN),
+                        "mf-ratio", {"samples": 2000}),
+    "duality-check": Command("exact or MC torus duality check", _duality_check,
+                             ("mc", "sweeps", "burn_in", "q", "i", "d", "geometry", "side",
+                              "k2", "k1", "p2", "p1", "r", *_RUN),
+                             "duality-check", {"geometry": "torus", "burn_in": 500}),
+    "min-area": Command("exact minimal bounding area of a loop", _min_area,
+                        ("loop", "gamma_file", "budget", "q", "d", "geometry", "widths", "side",
+                         "config", "output_dir", "tag", "max_states"),
+                        "min-area", {"q": 2}),
+    "selftest": Command("run the invariant suite", _selftest, ("quick", "config")),
+}
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """Parses a subcommand, leaving every flag not given at None, so that
+    only a flag actually given overrides a config file value (`_resolve`
+    applies the defaults on the actions)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        if namespace is None:
+            namespace = argparse.Namespace(**{a.dest: None for a in self._actions})
+        return super().parse_known_args(args, namespace)
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -545,69 +564,40 @@ def build_parser() -> argparse.ArgumentParser:
                     "percolation representation of the Potts lattice Higgs model",
     )
     top.add_argument("--version", action="version", version=__version__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="exact distribution to CSV/JSON")
-    p.add_argument("--target", choices=["mu", "rho", "kappa"], help="default rho")
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("wilson", help="both sides of the Wilson identity")
-    p.add_argument("--loop", type=int, help="rectangular loop side n")
-    p.add_argument("--gamma-file", help="JSON chain {dim, coeffs}")
-    p.add_argument("--exact", action="store_true", default=None, help="full enumeration")
-    _add_chain_flags(p)
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_wilson)
-
-    p = sub.add_parser("sample", help="run chains, write series CSV")
-    _add_chain_flags(p)
-    p.add_argument("--observables", help="comma list: open2,open1,wilson:N,vgamma:N")
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("mf-ratio", help="finite-n Marcu-Fredenhagen ratio scan")
-    p.add_argument("--n", help="comma list of loop sides, e.g. 2,4,6")
-    _add_chain_flags(p)
-    p.add_argument("--route", choices=["wilson", "topological"])
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_mf_ratio)
-
-    p = sub.add_parser("duality-check", help="exact or MC torus duality check")
-    p.add_argument("--mc", action="store_true", default=None, help="statistical check")
-    p.add_argument("--sweeps", type=int, help="MC sample count")
-    p.add_argument("--burn-in", type=int)
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_duality_check)
-
-    p = sub.add_parser("min-area", help="exact minimal bounding area of a loop")
-    p.add_argument("--loop", type=int)
-    p.add_argument("--gamma-file")
-    p.add_argument("--budget", type=int)
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_min_area)
-
-    p = sub.add_parser("selftest", help="run the invariant suite")
-    p.add_argument("--quick", action="store_true", default=None)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_selftest)
-
-    for p in sub.choices.values():
-        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type})
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest in command.flags:
+            spec = dict(FLAGS[dest])
+            if dest in command.defaults:
+                spec["default"] = command.defaults[dest]
+            if dest == "tag":
+                spec["help"] += f" (default {command.tag})"
+            elif spec.get("default") is not None:
+                spec["help"] += " (default %(default)s)"
+            p.add_argument("--" + dest.replace("_", "-"), **spec)
     return top
+
+
+def subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The parser of each command of `build_parser()`."""
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.time()
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
+        cfg = _resolve(subparsers(parser)[args.command], args)
+        if command.tag is not None:
+            cfg.setdefault("tag", command.tag.format_map(cfg))
+        outputs, result, code = command.body(cfg)
+        if command.tag is not None:
+            _write_manifest(args.command, cfg, outputs, started, result)
+        return code
     except (TooLarge, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

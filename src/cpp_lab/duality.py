@@ -9,7 +9,6 @@ not affect any of the checks below.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import measures
@@ -20,18 +19,7 @@ from .observables import open_count_observable
 from .sampler import RunConfig, run_chain
 
 
-@dataclass(frozen=True)
-class DualParams:
-    p2_dual: Fraction
-    p1_dual: Fraction
-    q: int
-    i_dual: int
-
-    def as_model_params(self) -> ModelParams:
-        return ModelParams.from_p(self.q, self.i_dual, self.p2_dual, self.p1_dual)
-
-
-def dual_params(params: ModelParams, d: int) -> DualParams:
+def dual_params(params: ModelParams, d: int) -> ModelParams:
     """k2' = q/k1, k1' = q/k2, acting in dimension d - i - 1."""
     q = params.q
     if params.k2 == 0 or params.k1 == 0:
@@ -39,11 +27,9 @@ def dual_params(params: ModelParams, d: int) -> DualParams:
     i_dual = d - params.i - 1
     if i_dual < 0:
         raise DegenerateParameter(f"dual dimension d - i - 1 = {i_dual} < 0")
-    k2d = Fraction(0) if params.k1 is None else Fraction(q) / params.k1
-    k1d = Fraction(0) if params.k2 is None else Fraction(q) / params.k2
-    p2d = k2d / (1 + k2d)
-    p1d = k1d / (1 + k1d)
-    return DualParams(p2_dual=p2d, p1_dual=p1d, q=q, i_dual=i_dual)
+    return ModelParams(q, i_dual,
+                       k2=0 if params.k1 is None else Fraction(q) / params.k1,
+                       k1=0 if params.k2 is None else Fraction(q) / params.k2)
 
 
 def dual_state(P2: PercSubcomplex, P1: PercSubcomplex
@@ -60,7 +46,7 @@ def verify_duality_exact(params: ModelParams, torus,
     i = params.i
     rho = measures.enumerate_rho(params, torus, max_states)
     dual = dual_params(params, torus.d)
-    rho_dual = measures.enumerate_rho(dual.as_model_params(), torus, max_states)
+    rho_dual = measures.enumerate_rho(dual, torus, max_states)
 
     def mapped(key):
         bits2, bits1 = key
@@ -84,8 +70,8 @@ def duality_report(params: ModelParams, torus,
             "p2": str(params.p2), "p1": str(params.p1),
         },
         "dual_params": {
-            "q": dual.q, "i": dual.i_dual,
-            "p2": str(dual.p2_dual), "p1": str(dual.p1_dual),
+            "q": dual.q, "i": dual.i,
+            "p2": str(dual.p2), "p1": str(dual.p1),
         },
         "max_discrepancy": str(disc),
         "states_checked": 1 << (n1 + n2),
@@ -103,8 +89,7 @@ def verify_duality_mc(params: ModelParams, torus, n_samples: int,
     if torus.kind != "torus":
         raise NotATorus("duality check needs a torus")
     i = params.i
-    dual = dual_params(params, torus.d)
-    dp = dual.as_model_params()
+    dp = dual_params(params, torus.d)
     obs = {"open2": open_count_observable("P2"), "open1": open_count_observable("P1")}
 
     cfg = RunConfig(q=params.q, i=i, p2=float(params.p2), p1=float(params.p1),

@@ -1,11 +1,12 @@
 """CLI behavior: artifacts, manifests, exit codes, reproducibility."""
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from cpp_lab.cli import main
+from cpp_lab.cli import build_parser, main, subparsers
 
 BASE_MODEL = ["--d", "2", "--q", "2", "--i", "1", "--widths", "1,1",
               "--k2", "1", "--k1", "1"]
@@ -193,8 +194,8 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
 
 
-def test_selftest_quick_passes(tmp_path, capsys):
-    assert run_cli(["selftest", "--quick"], tmp_path) == 0
+def test_selftest_quick_passes(capsys):
+    assert main(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "all ok" in out
     assert "FAIL" not in out
@@ -267,6 +268,11 @@ CONFIG_22 = {"d": 2, "q": 2, "i": 1, "widths": "2,2", "p2": "0.5", "p1": "0.5",
       "--observables", "wilson:2"], None, "'wilson:2' builds a 1-chain"),
     (["sample", "--config", {**CONFIG_22, "observables": ["open2", 3]}], None,
      "'observables'"),
+    (["wilson", "--config", {**CONFIG_22, "loop": 2, "exact": "false"}], None, "'exact'"),
+    (["selftest", "--config", {"quick": "no"}], None, "'quick'"),
+    (["sample", "--config", {**CONFIG_22, "output_dir": 5}], None, "'output_dir'"),
+    (["sample", "--config", {**CONFIG_22, "tag": [1]}], None, "'tag'"),
+    (["min-area", "--config", {"d": 2, "widths": "2,2", "loop": 2, "k2": "1"}], None, "'k2'"),
 ])
 def test_bad_cli_input_exits_2_with_a_message(args, gamma, message,
                                               tmp_path, monkeypatch, capsys):
@@ -279,9 +285,10 @@ def test_bad_cli_input_exits_2_with_a_message(args, gamma, message,
     if config is not None:
         (tmp_path / "conf.json").write_text(json.dumps(config))
         args = ["conf.json" if a is config else a for a in args]
-    assert run_cli(args, tmp_path) == 2
+    assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*-manifest.json"))
 
 
 def test_config_values_convert_like_their_flags(tmp_path):
@@ -292,3 +299,78 @@ def test_config_values_convert_like_their_flags(tmp_path):
     assert run_cli(SAMPLE_22 + ["--tag", "flags"], tmp_path) == 0
     assert ((tmp_path / "cfg-series.csv").read_bytes()
             == (tmp_path / "flags-series.csv").read_bytes())
+
+
+# only the flags each command requires; every other setting takes its default
+REQUIRED_ONLY = {
+    "enumerate": ["--d", "2", "--widths", "1,1", "--q", "2", "--k2", "1", "--k1", "1"],
+    "wilson": ["--d", "2", "--widths", "2,2", "--q", "2", "--p2", "0.5", "--p1", "0.5",
+               "--loop", "2"],
+    "sample": ["--d", "2", "--widths", "2,2", "--q", "2", "--p2", "0.5", "--p1", "0.5"],
+    "mf-ratio": ["--d", "2", "--widths", "6,6", "--q", "2", "--p2", "0.5", "--p1", "0.5"],
+    "duality-check": ["--d", "2", "--side", "2", "--q", "2", "--k2", "1", "--k1", "2"],
+    "min-area": ["--d", "2", "--widths", "2,2", "--loop", "2"],
+}
+
+
+def test_manifest_echoes_every_default(tmp_path, monkeypatch):
+    commands = subparsers(build_parser())
+    assert set(commands) == set(REQUIRED_ONLY) | {"selftest"}
+    for name, args in REQUIRED_ONLY.items():
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main([name, *args]) == 0
+        (manifest,) = (tmp_path / name).glob("*-manifest.json")
+        config = json.loads(manifest.read_text())["config"]
+        defaults = {a.dest: a.default for a in commands[name]._actions
+                    if a.default not in (None, argparse.SUPPRESS)}
+        assert defaults and {k: config.get(k) for k in defaults} == defaults
+        assert manifest.name == f"{config['tag']}-manifest.json"
+        assert config["command"] == name
+
+
+# manifests as the CLI wrote them before each setting's default was echoed
+PARENT_SAMPLE_MANIFEST = {"config": {
+    "command": "sample", "d": 2, "max_states": 67108864, "output_dir": ".", "p1": "0.5",
+    "p2": "0.5", "q": 2, "samples": 5, "seed": 1, "tag": "sample", "widths": "2,2"}}
+PARENT_DUALITY_MANIFEST = {
+    "config": {"command": "duality-check", "d": 2, "geometry": "torus", "i": 0, "k1": "2",
+               "k2": "1", "max_states": 67108864, "mc": False, "output_dir": ".", "q": 2,
+               "side": 2, "tag": "duality-check"},
+    "result": {"dual_params": {"i": 1, "p1": "2/3", "p2": "1/2", "q": 2},
+               "max_discrepancy": "0",
+               "params": {"i": 0, "p1": "2/3", "p2": "1/2", "q": 2},
+               "states_checked": 4096}}
+
+
+def test_parent_format_manifests_replay(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "old-sample.json").write_text(json.dumps(PARENT_SAMPLE_MANIFEST))
+    assert main(["sample", "--config", "old-sample.json"]) == 0
+    assert main(["sample", "--d", "2", "--widths", "2,2", "--q", "2", "--p2", "0.5",
+                 "--p1", "0.5", "--samples", "5", "--seed", "1", "--tag", "flags"]) == 0
+    assert ((tmp_path / "sample-series.csv").read_bytes()
+            == (tmp_path / "flags-series.csv").read_bytes())
+    (tmp_path / "old-duality.json").write_text(json.dumps(PARENT_DUALITY_MANIFEST))
+    assert main(["duality-check", "--config", "old-duality.json"]) == 0
+    report = PARENT_DUALITY_MANIFEST["result"]
+    assert ((tmp_path / "duality-check.json").read_text()
+            == json.dumps(report, indent=2, sort_keys=True) + "\n")
+    manifest = json.loads((tmp_path / "duality-check-manifest.json").read_text())
+    assert manifest["result"] == report
+
+
+def test_removed_flag_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["min-area", "--d", "2", "--widths", "2,2", "--loop", "2", "--k2", "1"])
+    assert exc.value.code == 2
+    assert "--k2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(REQUIRED_ONLY) + ["selftest"])
+def test_help_exits_0(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    if name == "duality-check":
+        assert "(default torus)" in capsys.readouterr().out

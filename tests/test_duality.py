@@ -13,20 +13,20 @@ from cpp_lab.errors import DegenerateParameter, NotATorus
 def test_dual_params_worked_values():
     p = M.ModelParams.from_p(2, 0, Fraction(1, 3), Fraction(1, 2))
     dual = D.dual_params(p, 2)
-    assert dual.p2_dual == Fraction(2, 3)  # q(1-p1)/(p1 + q(1-p1)) at q=2, p1=1/2
-    assert dual.i_dual == 1
+    assert dual.p2 == Fraction(2, 3)  # q(1-p1)/(p1 + q(1-p1)) at q=2, p1=1/2
+    assert dual.i == 1
     # p1 = 1 dualizes to p2 = 0
     p_full = M.ModelParams.from_p(2, 0, Fraction(1, 2), 1)
-    assert D.dual_params(p_full, 2).p2_dual == 0
+    assert D.dual_params(p_full, 2).p2 == 0
 
 
 def test_dual_params_involution():
     p = M.ModelParams(q=3, i=1, k2=Fraction(5, 2), k1=Fraction(1, 3))
     d1 = D.dual_params(p, 3)
-    back = D.dual_params(d1.as_model_params(), 3)
-    assert back.as_model_params().k2 == p.k2
-    assert back.as_model_params().k1 == p.k1
-    assert back.i_dual == p.i
+    back = D.dual_params(d1, 3)
+    assert back.k2 == p.k2
+    assert back.k1 == p.k1
+    assert back.i == p.i
 
 
 def test_self_dual_line_in_three_dimensions():
@@ -35,7 +35,7 @@ def test_self_dual_line_in_three_dimensions():
     k2 = Fraction(4, 3)
     k1 = Fraction(q) / k2
     p = M.ModelParams(q=q, i=1, k2=k2, k1=k1)
-    dual = D.dual_params(p, 3).as_model_params()
+    dual = D.dual_params(p, 3)
     assert dual.i == 1
     assert dual.k2 == k2 and dual.k1 == k1
 
@@ -90,9 +90,9 @@ def test_fixed_point_of_the_parameter_map():
     X = build_torus(2, 2)
     p = M.ModelParams(q=2, i=0, k2=2, k1=1)
     dual = D.dual_params(p, 2)
-    assert dual.as_model_params().k2 == p.k2
-    assert dual.as_model_params().k1 == p.k1
-    assert dual.i_dual == 1
+    assert dual.k2 == p.k2
+    assert dual.k1 == p.k1
+    assert dual.i == 1
     assert D.verify_duality_exact(p, X) == 0
 
 
