@@ -26,7 +26,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import gfq
-from .errors import DimensionMismatch, InvalidDimension, NotATorus
+from .errors import (DEFAULT_STATE_GUARD, DimensionMismatch, InvalidDimension, NotATorus,
+                     TooLarge)
 
 
 class Cell(NamedTuple):
@@ -91,8 +92,13 @@ class CellComplex:
         `rows` and the j-cell ids `cols`, scattered from `incidence(j + 1)`.
 
         The transpose of the boundary matrix on (j+1)-cells when both are
-        full ranges.
+        full ranges.  Raises `TooLarge` before allocating more than
+        `DEFAULT_STATE_GUARD` entries.
         """
+        entries = len(rows) * len(cols)
+        if entries > DEFAULT_STATE_GUARD:
+            raise TooLarge(entries, DEFAULT_STATE_GUARD, what="dense coboundary matrix",
+                           unit="entries")
         mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
         if not len(rows) or not len(cols):
             return mat

@@ -25,13 +25,17 @@ class NotATorus(CppLabError):
     """A torus-only operation was applied to a non-torus complex."""
 
 
-class TooLarge(CppLabError):
-    """An exact enumeration would exceed its state-count guard."""
+# the default size guard of exact enumerations and dense allocations
+DEFAULT_STATE_GUARD = 1 << 26
 
-    def __init__(self, states, limit):
+
+class TooLarge(CppLabError):
+    """An exact enumeration or a dense allocation would exceed its size guard."""
+
+    def __init__(self, states, limit, what="enumeration", unit="states"):
         self.states = states
         self.limit = limit
-        super().__init__(f"enumeration of {states} states exceeds guard {limit}")
+        super().__init__(f"{what} of {states} {unit} exceeds guard {limit}")
 
 
 class BudgetExceeded(CppLabError):

@@ -1,12 +1,13 @@
 """Exact linear algebra over the prime field GF(q).
 
 Matrices are dense numpy int64 arrays with entries reduced mod q; q is
-validated once per model (see `require_prime`), not per element.  A
-bit-packed GF(2) path (rows as python ints) backs the hot loops of the
-sampler and the pair-enumeration oracles.  Its pivot is a row's highest
-set bit, which `int.bit_length` reads without allocating; kernel draws
-take the free columns in decreasing bit order.  Callers that want
-lowest-index pivots store index k at bit n-1-k (`bit_reverse`).
+validated once per model (see `require_prime`), not per element.  Dense
+`rref` serves q >= 5.  Bit-packed paths for q = 2 (rows as python ints)
+and q = 3 (rows as two python-int bit planes) back the hot loops of the
+sampler and the oracles.  Their pivot is a row's highest set bit, which
+`int.bit_length` reads without allocating; kernel draws take the free
+columns in decreasing bit order.  Callers that want lowest-index pivots
+store index k at bit n-1-k (`bit_reverse`).
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ class RrefResult:
 
 def rref(mat, q: int) -> RrefResult:
     """Reduced row echelon form over GF(q) with row swaps for pivoting."""
-    m = asarray_mod(mat, q).copy()
+    m = asarray_mod(mat, q)  # a fresh `m % q`, eliminated in place
     rows, cols = m.shape
     pivots = []
     r = 0
@@ -154,6 +155,79 @@ def gf2_kernel_sample(pivots: dict[int, int], col_mask: int, rng) -> int:
         if ((pivots[pc] & x).bit_count()) & 1:
             x |= 1 << pc
     return x
+
+
+# ---------------------------------------------------------------------------
+# GF(3) bitsliced rows (Boothby-Bradshaw 2009): a row is a pair of disjoint
+# python ints (ones, twos), column j holding 1 (2) when bit j of ones (twos)
+# is set.
+# ---------------------------------------------------------------------------
+
+def gf3_ref_bits(rows) -> dict[int, tuple[int, int]]:
+    """Row echelon form (not reduced) of (ones, twos) rows:
+    {pivot_col: row}, pivot = highest bit, pivot coefficient 1."""
+    pivots: dict[int, tuple[int, int]] = {}
+    for ones, twos in rows:
+        while ones or twos:
+            top = max(ones.bit_length(), twos.bit_length()) - 1
+            hit = pivots.get(top)
+            if hit is None:
+                if twos >> top:  # scale by 2 = -1: swap the planes
+                    ones, twos = twos, ones
+                pivots[top] = (ones, twos)
+                break
+            ones, twos = _gf3_cancel(ones, twos, top, hit)
+    return pivots
+
+
+def _gf3_cancel(ones: int, twos: int, top: int, hit: tuple[int, int]) -> tuple[int, int]:
+    """row - c * hit, where c is the row's coefficient at `top`, hit's pivot
+    (coefficient 1): row + hit when c = 2, row + (-hit) when c = 1."""
+    b1, b2 = hit if twos >> top else hit[::-1]
+    # bitwise a + b over GF(3), a = (ones, twos), b = (b1, b2)
+    t = (ones | b2) ^ (twos | b1)
+    return (twos | b2) ^ t, (ones | b1) ^ t
+
+
+def gf3_residual_bits(pivots: dict[int, tuple[int, int]], ones: int,
+                      twos: int) -> tuple[int, int]:
+    """Reduce (ones, twos) against echelon rows (pivot = highest bit);
+    (0, 0) iff it is in their span."""
+    while ones or twos:
+        top = max(ones.bit_length(), twos.bit_length()) - 1
+        hit = pivots.get(top)
+        if hit is None:
+            break
+        ones, twos = _gf3_cancel(ones, twos, top, hit)
+    return ones, twos
+
+
+def gf3_kernel_sample(pivots: dict[int, tuple[int, int]], col_mask: int,
+                      rng) -> tuple[int, int]:
+    """Uniform sample (ones, twos) from the kernel of a GF(3) matrix in
+    echelon form, as `gf2_kernel_sample`: free coordinates i.i.d. uniform
+    in {0, 1, 2} drawn in decreasing bit order, pivots by back-substitution
+    in increasing column order, columns outside col_mask pinned to zero.
+    """
+    free = [c for c in reversed(bit_ids(col_mask)) if c not in pivots]
+    ones = twos = 0
+    if free:
+        draws = rng.integers(0, 3, size=len(free))
+        for c, v in zip(free, draws.tolist()):
+            if v == 1:
+                ones |= 1 << c
+            elif v == 2:
+                twos |= 1 << c
+    for pc in sorted(pivots):
+        h1, h2 = pivots[pc]
+        # the row's sum over solved columns: 1*1 and 2*2 count 1, 1*2 counts 2
+        s = ((h1 & ones).bit_count() + (h2 & twos).bit_count()
+             + 2 * ((h1 & twos).bit_count() + (h2 & ones).bit_count())) % 3
+        if s == 1:  # x_pc = -s
+            twos |= 1 << pc
+        elif s == 2:
+            ones |= 1 << pc
+    return ones, twos
 
 
 # bit j of byte b moves to bit 7-j

@@ -3,8 +3,11 @@
 For a percolation pair (P2, P1) of dimensions (i+1, i) the relative
 cochain group below degree i vanishes, so H^i(P2, P1) coincides with the
 space of relative cocycles: cochains vanishing on the open cells of P1
-whose coboundary vanishes on the open cells of P2.  Every Betti number
-is read off `cocycle_system`: rank H^j = dim Z^j - (|C^(j-1)| - dim Z^(j-1)).
+whose coboundary vanishes on the open cells of P2.  `cocycle_system`
+eliminates bitsliced rows for q in {2, 3} (`gfq.gf2_ref_bits`,
+`gfq.gf3_ref_bits`) and a dense coboundary block for q >= 5 (`gfq.rref`).
+Every Betti number is read off it:
+rank H^j = dim Z^j - (|C^(j-1)| - dim Z^(j-1)).
 """
 from __future__ import annotations
 
@@ -41,20 +44,25 @@ class RelPair:
         return self.P1.dim
 
 
-def _face_masks(X, j: int) -> list[int]:
-    """GF(2) boundary rows of j-cells as bit masks, (j-1)-cell k at bit
-    n_(j-1)-1-k (the `CocycleSystem` convention)."""
-    key = ("face_masks", j)
+def _face_masks(X, j: int, q: int) -> list:
+    """Boundary rows of j-cells over GF(q), q in {2, 3}, on bits: (j-1)-cell
+    k at bit n_(j-1)-1-k (the `CocycleSystem` convention).  A q = 2 row is
+    one mask of the odd coefficients, a q = 3 row the planes (ones, twos);
+    coincident faces (period-1 tori) have their signs summed first."""
+    key = ("face_masks", j, q)
     if key not in X.cache:
         faces, signs = X.incidence(j)
         top = X.num_cells(j - 1) - 1
         masks = []
         for row, row_signs in zip(faces, signs):
-            m = 0
-            for f, sign in zip(row, row_signs):
-                if sign % 2:
-                    m ^= 1 << (top - int(f))
-            masks.append(m)
+            coeffs: dict[int, int] = {}
+            for f, sign in zip(row.tolist(), row_signs.tolist()):
+                coeffs[f] = coeffs.get(f, 0) + sign
+            planes = [0, 0]
+            for f, c in coeffs.items():
+                if c % q:
+                    planes[c % q - 1] |= 1 << (top - f)
+            masks.append(planes[0] if q == 2 else tuple(planes))
         X.cache[key] = masks
     return X.cache[key]
 
@@ -65,18 +73,20 @@ class CocycleSystem:
     closed i-cells (those not open in P1) and eliminated over GF(q).
 
     Open P1 cells are pinned to 0, so the kernel of these rows, extended by
-    zero, is Z^i(P2, P1).  For q = 2 `closed` is a bitmask and `pivots`
-    the bitset echelon rows, both indexing i-cell k at bit n_i-1-k: the
-    GF(2) pivot is a row's highest bit, so under this mapping it is the
-    row's lowest cell id, as in the dense RREF.  For q > 2 `closed` holds
-    the closed ids in increasing order and `red` the dense RREF over them.
+    zero, is Z^i(P2, P1).  For q in {2, 3} `closed` is a bitmask and
+    `pivots` the bitsliced echelon rows (a GF(2) mask, or GF(3) planes
+    (ones, twos) with pivot coefficient 1), both indexing i-cell k at bit
+    n_i-1-k: the pivot is a row's highest bit, so under this mapping it is
+    the row's lowest cell id, as in the dense RREF.  For q >= 5 `closed`
+    holds the closed ids in increasing order and `red` the dense RREF over
+    them.
     """
 
     q: int
     n_i: int
     closed: int | np.ndarray
     dim: int
-    pivots: dict[int, int] | None = None
+    pivots: dict[int, int] | dict[int, tuple[int, int]] | None = None
     red: gfq.RrefResult | None = None
 
     def contains(self, gamma: Chain) -> bool:
@@ -89,6 +99,13 @@ class CocycleSystem:
                     gbits |= 1 << idx
             gbits = gfq.bit_reverse(gbits, self.n_i)
             return gfq.gf2_residual_bits(self.pivots, gbits & self.closed) == 0
+        if self.q == 3:
+            planes = [0, 0]
+            for idx, c in gamma.coeffs:
+                if c % 3:
+                    planes[c % 3 - 1] |= 1 << (self.n_i - 1 - idx)
+            ones, twos = (p & self.closed for p in planes)
+            return gfq.gf3_residual_bits(self.pivots, ones, twos) == (0, 0)
         g = gamma.vector(self.n_i)[self.closed]
         return not gfq.reduce_vector(self.red, g, self.q).any()
 
@@ -102,6 +119,10 @@ class CocycleSystem:
         if self.q == 2:
             bits = gfq.gf2_kernel_sample(self.pivots, self.closed, rng)
             return gfq.bits_to_vector(gfq.bit_reverse(bits, self.n_i), self.n_i)
+        if self.q == 3:
+            ones, twos = gfq.gf3_kernel_sample(self.pivots, self.closed, rng)
+            return (gfq.bits_to_vector(gfq.bit_reverse(ones, self.n_i), self.n_i)
+                    + 2 * gfq.bits_to_vector(gfq.bit_reverse(twos, self.n_i), self.n_i))
         f = np.zeros(self.n_i, dtype=np.int64)
         if self.dim:
             pivot_cols = list(self.red.pivot_cols)
@@ -130,13 +151,17 @@ def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
         return slot[1]
     del slot  # the old system goes before the new one is built
     n_i = X.num_cells(i)
-    if q == 2:
+    if q in (2, 3):
         closed = ((1 << n_i) - 1) & ~gfq.bit_reverse(bits1, n_i)
-        masks = _face_masks(X, i + 1) if bits2 else []
+        masks = _face_masks(X, i + 1, q) if bits2 else []
         # decreasing ids: the row space, and so the pivot set, is unchanged,
         # and the elimination fills in less
-        rows = (masks[s] & closed for s in reversed(gfq.bit_ids(bits2)))
-        pivots = gfq.gf2_ref_bits(rows)
+        open_ids = reversed(gfq.bit_ids(bits2))
+        if q == 2:
+            pivots = gfq.gf2_ref_bits(masks[s] & closed for s in open_ids)
+        else:
+            pivots = gfq.gf3_ref_bits((masks[s][0] & closed, masks[s][1] & closed)
+                                      for s in open_ids)
         system = CocycleSystem(q, n_i, closed, closed.bit_count() - len(pivots), pivots=pivots)
     else:
         closed = np.flatnonzero(gfq.bits_to_vector(bits1, n_i) == 0)

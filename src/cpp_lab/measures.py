@@ -34,9 +34,8 @@ import numpy as np
 
 from . import gfq, homology
 from .complexes import Chain, PercSubcomplex, graph_complex
-from .errors import DegenerateParameter, DimensionMismatch, TooLarge, ValidationError
-
-DEFAULT_STATE_GUARD = 1 << 26
+from .errors import (DEFAULT_STATE_GUARD, DegenerateParameter, DimensionMismatch, TooLarge,
+                     ValidationError)
 
 KRat = Fraction | None  # None encodes k = infinity, i.e. p = 1
 

@@ -130,8 +130,15 @@ def open_count_observable(which: str):
     if which not in ("P2", "P1"):
         raise DimensionMismatch("which must be 'P2' or 'P1'")
 
+    # one float per count, shared by every sample with that count
+    values: dict[int, float] = {}
+
     def obs(f, P2: PercSubcomplex, P1: PercSubcomplex):
-        return float((P2 if which == "P2" else P1).count)
+        count = (P2 if which == "P2" else P1).count
+        value = values.get(count)
+        if value is None:
+            value = values[count] = float(count)
+        return value
     return obs
 
 

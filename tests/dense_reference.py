@@ -57,3 +57,23 @@ def cocycle_matrix(pair, q: int) -> np.ndarray:
 def cocycle_basis(pair, q: int) -> np.ndarray:
     """Basis of the compatible cochains Z^i(P2, P1) over GF(q), one per row."""
     return kernel_basis(cocycle_matrix(pair, q), q)
+
+
+def cocycle_sample(pair, q: int, rng) -> np.ndarray:
+    """The dense spin draw over GF(q) on the RREF of the coboundary block
+    (open (i+1)-cells by closed i-cells): free closed i-cells get i.i.d.
+    uniform values in increasing id order, one draw and none when there
+    are no free cells, and the pivots follow from them."""
+    X, i = pair.complex, pair.i
+    n_i = X.num_cells(i)
+    closed = np.array(sorted(set(range(n_i)) - set(pair.P1.open_ids())), dtype=np.int64)
+    red = gfq.rref(boundary_matrix(X, i + 1).T[np.ix_(pair.P2.open_ids(), closed)], q)
+    f = np.zeros(n_i, dtype=np.int64)
+    dim = len(closed) - red.rank
+    if dim:
+        pivot_cols = list(red.pivot_cols)
+        free = np.setdiff1d(np.arange(len(closed)), pivot_cols)
+        coeffs = rng.integers(0, q, size=dim)
+        f[closed[free]] = coeffs
+        f[closed[pivot_cols]] = -(red.matrix[:red.rank][:, free] @ coeffs) % q
+    return f

@@ -15,9 +15,9 @@ from cpp_lab.complexes import (CellComplex, Chain, ExplicitComplex, PercSubcompl
 from cpp_lab.homology import (RelPair, betti, cocycle_system, euler_characteristic,
                               min_area, rel_betti, subcomplex_cohomology_rank,
                               v_gamma)
-from cpp_lab.errors import BudgetExceeded, DimensionMismatch
+from cpp_lab.errors import BudgetExceeded, DimensionMismatch, TooLarge
 from cpp_lab.measures import delta_cochain
-from dense_reference import boundary_matrix, cocycle_basis, cocycle_matrix
+from dense_reference import boundary_matrix, cocycle_basis, cocycle_matrix, cocycle_sample
 
 
 def random_pair(X, i, rnd):
@@ -177,7 +177,7 @@ def test_cocycle_system_agrees_with_dense_reference(case):
     n_i = X.num_cells(i)
     # the pivot set is the row space's, whatever order the rows came in:
     # with the open P1 cells it is the dense RREF's
-    if q == 2:
+    if q in (2, 3):
         lead = {n_i - 1 - k for k in system.pivots}
     else:
         lead = set(system.closed[list(system.red.pivot_cols)].tolist())
@@ -209,6 +209,52 @@ def test_cocycle_system_agrees_with_dense_reference(case):
     assert rng.bit_generator.state == clone.bit_generator.state
 
 
+GF3_COMPLEXES = (build_box(2, [2, 2]), build_box(2, [3, 2]), build_box(3, [2, 2, 1]),
+                 build_torus(2, 1), build_torus(2, 2), build_torus(3, 1), build_torus(3, 2))
+
+
+@st.composite
+def gf3_cases(draw):
+    X = draw(st.sampled_from(GF3_COMPLEXES))
+    i = draw(st.sampled_from([0, 1]))
+    n_i = X.num_cells(i)
+    bits2 = draw(st.integers(0, (1 << X.num_cells(i + 1)) - 1))
+    bits1 = draw(st.integers(0, (1 << n_i) - 1))
+    cells = st.integers(0, n_i - 1)
+    gammas = [Chain.build(i, 3, draw(st.dictionaries(cells, st.integers(1, 2), max_size=5)))]
+    # a combination of the system's rows, plus anything on open P1 cells,
+    # lies in its row space
+    bmat = boundary_matrix(X, i + 1)
+    combo = draw(st.dictionaries(st.sampled_from(gfq.bit_ids(bits2)),
+                                 st.integers(1, 2), max_size=4)) if bits2 else {}
+    noise = draw(st.dictionaries(st.sampled_from(gfq.bit_ids(bits1)),
+                                 st.integers(1, 2), max_size=3)) if bits1 else {}
+    entries = [(e, c * int(bmat[e, s])) for s, c in combo.items() for e in range(n_i)]
+    gammas.append(Chain.build(i, 3, entries + list(noise.items())))
+    return X, i, bits2, bits1, gammas, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gf3_cases())
+def test_gf3_cocycle_system_matches_the_dense_solver(case):
+    X, i, bits2, bits1, gammas, seed = case
+    pair = RelPair(PercSubcomplex(X, i + 1, bits2), PercSubcomplex(X, i, bits1))
+    X.cache.pop("cocycle_system", None)
+    system = cocycle_system(X, i, 3, bits2, bits1)
+    n_i = X.num_cells(i)
+    closed = sorted(set(range(n_i)) - set(pair.P1.open_ids()))
+    red = gfq.rref(boundary_matrix(X, i + 1).T[np.ix_(pair.P2.open_ids(), closed)], 3)
+    assert system.dim == len(closed) - red.rank
+    assert {n_i - 1 - k for k in system.pivots} == {closed[c] for c in red.pivot_cols}
+    for g in gammas:
+        dense = not gfq.reduce_vector(red, g.vector(n_i)[closed], 3).any()
+        assert system.contains(g) == dense
+    assert system.contains(gammas[1])
+    rng, clone = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(system.sample(rng), cocycle_sample(pair, 3, clone))
+    assert rng.bit_generator.state == clone.bit_generator.state
+
+
 def test_cocycle_system_keeps_one_system_per_complex():
     X = build_box(2, [2, 2])
     first = cocycle_system(X, 1, 2, 0b1011, 0b101)
@@ -229,7 +275,7 @@ def test_cocycle_system_keeps_one_system_per_complex():
         first = newest
 
 
-@pytest.mark.parametrize("q,solver", [(2, "gf2_ref_bits"), (3, "rref")])
+@pytest.mark.parametrize("q,solver", [(2, "gf2_ref_bits"), (3, "gf3_ref_bits"), (5, "rref")])
 def test_cocycle_system_releases_the_old_system_before_building(monkeypatch, q, solver):
     X = build_box(2, [2, 2])
     cocycle_system(X, 1, q, 0b11, 0)
@@ -325,9 +371,16 @@ def test_subcomplex_cell_ids_outside_the_complex_are_rejected():
 
 def test_betti_numbers_of_large_complexes():
     assert [betti(build_box(3, [12] * 3), j, 2) for j in range(4)] == [1, 0, 0, 0]
+    assert [betti(build_box(3, [8] * 3), j, 3) for j in range(4)] == [1, 0, 0, 0]
     torus = build_torus(3, 6)
     for q in (2, 3):
         assert [betti(torus, j, q) for j in range(4)] == [1, 3, 3, 1]
+
+
+def test_dense_coboundary_block_is_guarded_by_its_size():
+    # the q >= 5 path would scatter 13056 x 13872 int64 entries (1.4 GB)
+    with pytest.raises(TooLarge, match="entries"):
+        betti(build_box(3, [16] * 3), 1, 5)
 
 
 def test_betti_numbers_at_q2_use_only_the_bitset_route(monkeypatch):

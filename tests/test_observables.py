@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from cpp_lab.complexes import Chain, build_box, build_torus, chain_boundary
+from cpp_lab.complexes import Chain, PercSubcomplex, build_box, build_torus, chain_boundary
 from cpp_lab.errors import DegenerateDenominator, DoesNotFit
-from cpp_lab.observables import (Estimate, mf_ratio, perimeter, rect_loop,
-                                 wilson_observable, wilson_real, wilson_value)
+from cpp_lab.observables import (Estimate, mf_ratio, open_count_observable, perimeter,
+                                 rect_loop, wilson_observable, wilson_real, wilson_value)
 
 
 def test_rect_loop_shape_and_halves():
@@ -74,6 +74,18 @@ def test_wilson_observable_returns_wilson_real_exactly(q):
         gamma = Chain.build(1, q, {rnd.randrange(8): rnd.randrange(1, q) for _ in range(3)})
         f = [rnd.randrange(q) for _ in range(8)]
         assert wilson_observable(gamma, q)(f, None, None) == wilson_real(f, gamma, q)
+
+
+def test_open_count_observable_shares_one_float_per_count():
+    X = build_box(2, [2, 2])
+    P1 = PercSubcomplex.from_ids(X, 1, [0, 5])
+    obs2, obs1 = open_count_observable("P2"), open_count_observable("P1")
+    first = obs2(None, PercSubcomplex.from_ids(X, 2, [0, 3]), P1)
+    again = obs2(None, PercSubcomplex.from_ids(X, 2, [1, 2]), P1)
+    assert type(first) is float and first == 2.0
+    assert again is first
+    assert obs2(None, PercSubcomplex.empty(X, 2), P1) == 0.0
+    assert obs1(None, PercSubcomplex.empty(X, 2), P1) == 2.0
 
 
 def test_perimeter_counts_support_not_coefficients():

@@ -223,7 +223,7 @@ def test_mf_scan_runs_and_reports_error_bars():
         assert r["std_err"] >= 0
 
 
-@pytest.mark.parametrize("q,solver", [(2, "gf2_ref_bits"), (3, "rref")])
+@pytest.mark.parametrize("q,solver", [(2, "gf2_ref_bits"), (3, "gf3_ref_bits"), (5, "rref")])
 def test_observables_share_the_sweeps_elimination(monkeypatch, q, solver):
     X = build_box(3, [3, 3, 3])
     fam = rect_loop(2, 3, X, q)
