@@ -195,6 +195,41 @@ class CubicalComplex(CellComplex):
     def _width(self, j: int) -> int:
         return 2 * j
 
+    def _shape(self, dirs: tuple[int, ...]) -> tuple[int, ...]:
+        """Base ranges of the cells spanning `dirs`, one per axis."""
+        return tuple(len(self._base_range(k, k in dirs)) for k in range(self.d))
+
+    def incidence(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """As `CellComplex.incidence`, read off the id layout instead of
+        `boundary_of`: the cells spanning one direction set take consecutive
+        ids, their bases in row-major order."""
+        if not 1 <= j <= self.d:
+            raise InvalidDimension(f"{j}-cells have no incidence lists")
+        key = ("incidence", j)
+        if key not in self.cache:
+            first, start = {}, 0
+            for sub in itertools.combinations(range(self.d), j - 1):
+                first[sub] = start
+                start += int(np.prod(self._shape(sub)))
+            blocks = []
+            for dirs in itertools.combinations(range(self.d), j):
+                base = np.indices(self._shape(dirs)).reshape(self.d, -1)
+                cols = []
+                for u in dirs:
+                    sub = tuple(v for v in dirs if v != u)
+                    top = base.copy()
+                    top[u] += 1
+                    if self.kind == "torus":
+                        top[u] %= self.period
+                    cols += [first[sub] + np.ravel_multi_index(corner, self._shape(sub))
+                             for corner in (top, base)]
+                blocks.append(np.stack(cols, axis=1))
+            faces = np.concatenate(blocks)
+            # the m-th spanned axis gives its top face (-1)^m, its bottom -(-1)^m
+            pattern = np.array([1, -1, -1, 1] * j, dtype=np.int64)[:2 * j]
+            self.cache[key] = (faces, np.tile(pattern, (len(faces), 1)))
+        return self.cache[key]
+
     # -- torus duality ---------------------------------------------------------
 
     def bullet_dual(self, cell: Cell) -> Cell:

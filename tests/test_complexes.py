@@ -150,7 +150,7 @@ def reference_cells(X, j):
 
 @pytest.mark.parametrize("X", [build_box(2, [2, 3]), build_box(3, [2, 1, 2]),
                                build_torus(2, 1), build_torus(3, 2), build_torus(2, 3),
-                               build_torus(3, 3)])
+                               build_torus(3, 3), build_box(1, [3]), build_torus(4, 2)])
 def test_cells_share_base_tuples_and_keep_ids_and_incidence(X):
     corners = {cell.base: cell.base for cell in X.cells(0)}
     for j in range(X.d + 1):

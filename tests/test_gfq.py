@@ -140,14 +140,11 @@ def test_gf2_top_bit_pivots_of_reversed_rows_are_rref_pivot_cols(seed):
     assert sorted(cols - 1 - k for k in pivots) == list(gfq.rref(m, 2).pivot_cols)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_gf2_kernel_sample_of_reversed_rows_is_dense_kernel_stream(seed):
-    rng = np.random.default_rng(seed)
-    m = rng.integers(0, 2, size=tuple(rng.integers(1, 12, size=2)))
+def _assert_kernel_samples_are_dense_kernel_stream(m, rng, draws):
     cols = m.shape[1]
     pivots = gfq.gf2_ref_bits(_reversed_rows(m))
     basis = kernel_basis(m, 2)
-    for _ in range(5):
+    for _ in range(draws):
         clone = copy.deepcopy(rng)
         x = gfq.gf2_kernel_sample(pivots, (1 << cols) - 1, rng)
         f = gfq.bits_to_vector(gfq.bit_reverse(x, cols), cols)
@@ -156,6 +153,19 @@ def test_gf2_kernel_sample_of_reversed_rows_is_dense_kernel_stream(seed):
             expected = clone.integers(0, 2, size=basis.shape[0]) @ basis % 2
         assert np.array_equal(f, expected)
         assert rng.bit_generator.state == clone.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gf2_kernel_sample_of_reversed_rows_is_dense_kernel_stream(seed):
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, 2, size=tuple(rng.integers(1, 12, size=2)))
+    _assert_kernel_samples_are_dense_kernel_stream(m, rng, 5)
+
+
+@pytest.mark.parametrize("shape", [(5, 63), (5, 64), (40, 70), (90, 130), (130, 90)])
+def test_gf2_kernel_sample_keeps_the_stream_on_both_sides_of_64_columns(shape):
+    rng = np.random.default_rng(sum(shape))
+    _assert_kernel_samples_are_dense_kernel_stream(rng.integers(0, 2, size=shape), rng, 3)
 
 
 @pytest.mark.parametrize("seed", range(4))

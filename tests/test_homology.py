@@ -1,4 +1,5 @@
 """Cocycle spaces, Betti numbers, V_gamma, Euler characteristic, min area."""
+import contextlib
 import copy
 import random
 import sys
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpp_lab import gfq
+from cpp_lab import gfq, homology
 from cpp_lab.complexes import (CellComplex, Chain, ExplicitComplex, PercSubcomplex,
                                boundary_chain, build_box, build_torus,
                                dual_subcomplex, two_squares_complex)
-from cpp_lab.homology import (RelPair, betti, cocycle_system, euler_characteristic,
+from cpp_lab.homology import (CocycleSystem, RelPair, _drop_redundant_rows, _face_masks,
+                              _relations, betti, cocycle_system, euler_characteristic,
                               min_area, rel_betti, subcomplex_cohomology_rank,
                               v_gamma)
 from cpp_lab.errors import BudgetExceeded, DimensionMismatch, TooLarge
@@ -253,6 +255,142 @@ def test_gf3_cocycle_system_matches_the_dense_solver(case):
     rng, clone = np.random.default_rng(seed), np.random.default_rng(seed)
     assert np.array_equal(system.sample(rng), cocycle_sample(pair, 3, clone))
     assert rng.bit_generator.state == clone.bit_generator.state
+
+
+def unfiltered_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
+    """The cocycle system eliminated over the row of every open (i+1)-cell."""
+    n_i = X.num_cells(i)
+    if q in (2, 3):
+        closed = ((1 << n_i) - 1) & ~gfq.bit_reverse(bits1, n_i)
+        masks = _face_masks(X, i + 1, q) if bits2 else []
+        ids = reversed(gfq.bit_ids(bits2))
+        if q == 2:
+            pivots = gfq.gf2_ref_bits(masks[s] & closed for s in ids)
+        else:
+            pivots = gfq.gf3_ref_bits((masks[s][0] & closed, masks[s][1] & closed) for s in ids)
+        return CocycleSystem(q, n_i, closed, closed.bit_count() - len(pivots), pivots=pivots)
+    closed = np.flatnonzero(gfq.bits_to_vector(bits1, n_i) == 0)
+    red = gfq.rref(X.coboundary_matrix(i, gfq.bit_ids(bits2), closed), q)
+    return CocycleSystem(q, n_i, closed, len(closed) - red.rank, red=red)
+
+
+@contextlib.contextmanager
+def filter_always_on(X, i: int):
+    """Run the row filter on X at degree i whatever its size and density."""
+    key, table = ("relations", i), _relations(X, i)
+    if table is not None:
+        X.cache[key] = table._replace(min_open=0)
+    try:
+        yield
+    finally:
+        if table is not None:
+            X.cache[key] = table
+
+
+@st.composite
+def dense_pair_cases(draw):
+    X, i, q, _, bits1, gamma, seed = draw(pair_cases())
+    # a few closed (i+1)-cells, so that some (i+2)-cells have every face open
+    full = (1 << X.num_cells(i + 1)) - 1
+    closed = draw(st.integers(0, full))
+    for _ in range(draw(st.integers(0, 3))):
+        closed &= draw(st.integers(0, full))
+    return X, i, q, full & ~closed, bits1, gamma, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_pair_cases())
+@example((SYSTEM_COMPLEXES[4], 1, 2, (1 << 36) - 1, 0, Chain.zero(1, 2), 0))
+@example((SYSTEM_COMPLEXES[3], 0, 5, (1 << 18) - 1, 0b1, Chain.build(0, 5, {3: 1}), 7))
+@example((SYSTEM_COMPLEXES[4], 0, 3, (1 << 54) - 1, 0b1001, Chain.build(0, 3, {5: 2}), 3))
+def test_dropped_rows_leave_the_cocycle_system_unchanged(case):
+    X, i, q, bits2, bits1, gamma, seed = case
+    X.cache.pop("cocycle_system", None)
+    with filter_always_on(X, i):
+        system = cocycle_system(X, i, q, bits2, bits1)
+        kept = _drop_redundant_rows(X, i, bits2)
+    full = unfiltered_system(X, i, q, bits2, bits1)
+    assert kept & ~bits2 == 0
+    # every dropped row reduces to zero against the kept ones
+    bmat = boundary_matrix(X, i + 1) % q
+    rows = {s: Chain.build(i, q, enumerate(bmat[:, s])) for s in gfq.bit_ids(bits2)}
+    for s in gfq.bit_ids(bits2 & ~kept):
+        assert system.contains(rows[s])
+    assert system.dim == full.dim
+    if q in (2, 3):
+        assert system.pivots.keys() == full.pivots.keys()
+    else:
+        assert system.red.pivot_cols == full.red.pivot_cols
+        assert np.array_equal(system.red.matrix[:system.red.rank], full.red.matrix[:full.red.rank])
+    for g in [gamma, *list(rows.values())[:3]]:
+        assert system.contains(g) == full.contains(g)
+    rng, clone = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(system.sample(rng), full.sample(clone))
+    assert rng.bit_generator.state == clone.bit_generator.state
+
+
+@pytest.mark.parametrize("X,dropped", [
+    (build_box(2, [3, 2]), 6), (build_box(3, [2, 2, 2]), 8), (build_box(3, [3, 1, 2]), 6),
+    (build_torus(2, 2), 3), (build_torus(2, 3), 8), (build_torus(3, 2), 7),
+    (build_torus(3, 3), 26), (build_torus(4, 2), 15), (build_box(3, [4, 4, 2]), 32),
+    (build_torus(3, 4), 63), (build_torus(2, 1), 0), (build_torus(3, 1), 0),
+])
+def test_every_open_cell_drops_one_row_per_top_cell_but_one_on_a_torus(X, dropped):
+    # at i = d-2 every d-cell relates the rows of its faces; on a torus of
+    # period >= 2 the d-cells sum to a boundary, so one relation is implied
+    # by the others, and on period 1 every face appears twice in its cell
+    i = X.d - 2
+    full = (1 << X.num_cells(i + 1)) - 1
+    with filter_always_on(X, i):
+        assert (full & ~_drop_redundant_rows(X, i, full)).bit_count() == dropped
+    assert len(_relations(X, i).targets) == dropped
+    # unforced, the filter runs from 32 related cells on
+    expected = dropped if dropped >= 32 else 0
+    assert (full & ~_drop_redundant_rows(X, i, full)).bit_count() == expected
+
+
+def test_cells_whose_boundary_has_a_boundary_relate_no_rows():
+    def complex_with(face_boundary):
+        edges = {"e0": [("b", 1), ("a", -1)], "e1": [("c", 1), ("b", -1)],
+                 "e2": [("a", 1), ("c", -1)]}
+        return ExplicitComplex([list("abc"), ["e0", "e1", "e2"], ["f"]],
+                               {**edges, "f": face_boundary})
+
+    # the path e0 + e1 from a to c: boundary(boundary f) = c - a
+    path = complex_with([("e0", 1), ("e1", 1)])
+    assert len(_relations(path, 0).targets) == 0
+    with filter_always_on(path, 0):
+        assert _drop_redundant_rows(path, 0, 0b111) == 0b111
+        assert cocycle_system(path, 0, 2, 0b111, 0).dim == 1
+    # closing the triangle makes f a relation, which drops its lowest face
+    triangle = complex_with([("e0", 1), ("e1", 1), ("e2", 1)])
+    assert _relations(triangle, 0).targets.tolist() == [0]
+    with filter_always_on(triangle, 0):
+        assert _drop_redundant_rows(triangle, 0, 0b111) == 0b110
+        assert cocycle_system(triangle, 0, 2, 0b111, 0).dim == 1
+
+
+def test_the_row_filter_returns_before_numpy_where_it_cannot_pay(monkeypatch):
+    square, small, cube = build_box(2, [2, 2]), build_box(3, [2, 2, 2]), build_box(3, [4] * 3)
+    other = build_box(3, [4] * 3)
+    # one table per complex and degree, never shared; none without (i+2)-cells
+    assert _relations(cube, 1) is not _relations(other, 1)
+    assert _relations(square, 1) is None
+    two_cubes = sum(1 << s for s in set(_relations(cube, 1).faces[:, :2].ravel().tolist()))
+    cases = [
+        (square, 0b1011, 0b101),
+        (small, (1 << 36) - 1, 0),  # every plaquette open, but 8 related cells
+        (cube, 0b11111, 0b1),  # fewer open plaquettes than a cube has faces
+        (cube, two_cubes, 0),  # two cubes fully open, but 11 of 240 plaquettes
+    ]
+    expected = []
+    for X, bits2, bits1 in cases:
+        X.cache.pop("cocycle_system", None)
+        expected.append(cocycle_system(X, 1, 2, bits2, bits1).dim)
+    monkeypatch.setattr(homology, "np", None)
+    for (X, bits2, bits1), dim in zip(cases, expected):
+        X.cache.pop("cocycle_system", None)
+        assert cocycle_system(X, 1, 2, bits2, bits1).dim == dim
 
 
 def test_cocycle_system_keeps_one_system_per_complex():
