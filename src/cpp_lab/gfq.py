@@ -142,13 +142,14 @@ def gf2_kernel_sample(pivots: dict[int, int], col_mask: int, rng) -> int:
     follow by back-substitution in increasing column order (a row's pivot
     is its highest set bit, so every other coordinate it touches is solved
     before it).  Columns outside col_mask are pinned to zero instead of
-    being free; every pivot column lies in col_mask.  From 64 columns on,
-    the free columns are found and filled on an unpacked copy of col_mask.
+    being free; every pivot column lies in col_mask.  On a wide col_mask
+    the free columns are found and filled on an unpacked numpy copy of it.
     """
     x = 0
     if col_mask.bit_length() < 64:
-        # below 64 columns the list beats numpy's per-call cost: 6.4 against
-        # 11.7 us a draw on 4 columns, 15 against 16 us on 54
+        # below 64 columns the list beats numpy's fixed per-call cost: numpy
+        # at every width ran acceptance 11's 4-column chain 17% and 04's MC
+        # part 10% slower (BENCH_redundant-rows.json, "gates")
         free = [c for c in reversed(bit_ids(col_mask)) if c not in pivots]
         if free:
             for c, bit in zip(free, rng.integers(0, 2, size=len(free))):

@@ -72,12 +72,12 @@ def _face_masks(X, j: int, q: int) -> list:
 
 class _Relations(NamedTuple):
     """The relations boundary(boundary c) = 0 among the (i+1)-cells: the
-    faces of each related (i+2)-cell c (column c), its designated face t(c),
-    and the fewest open (i+1)-cells at which the row filter runs."""
+    faces of each related (i+2)-cell c (column c), its designated face
+    t(c), and the fewest faces a related cell has."""
 
     faces: np.ndarray
     targets: np.ndarray
-    min_open: int
+    min_faces: int
 
 
 def _relations(X, i: int) -> _Relations | None:
@@ -122,26 +122,25 @@ def _relations(X, i: int) -> _Relations | None:
         # padding points at t(c), so "every face open" needs no mask; one row
         # per face slot, as a reduction over the first axis is the fast one
         rel_faces = np.where(real[related], faces[related], targets[:, None]).T.copy()
-        # the filter runs only where it pays.  A related cell needs all its
-        # faces open (those that appear once are distinct).  With under half
-        # the rows open it took 1.9% of a 12^3 sweep at 48% open and 3.1% of a
-        # 6^3 sweep at q=3 at 25%, against savings of 0-3% at 57% and 11% at
-        # 76%; with 7 related cells (a period-2 3-torus) it took 11% of a
-        # sweep at 90% open, and it broke even at 26-27 (side 3)
-        n = X.num_cells(i + 1)
-        if len(targets) < 32:
-            min_open = n + 1
-        else:
-            min_open = max(int(once[related].sum(axis=1).min()), (n + 1) // 2)
-        X.cache[key] = _Relations(rel_faces, targets, min_open)
+        # the faces that appear once are distinct, so they bound the count
+        # from below; with no related cell no bits2 reaches the bound
+        min_faces = int(once[related].sum(axis=1).min(initial=X.num_cells(i + 1) + 1))
+        X.cache[key] = _Relations(rel_faces, targets, min_faces)
     return X.cache[key]
+
+
+# The row filter is a fixed cost of a few numpy calls per elimination; on a
+# complex with fewer related cells it costs more than it saves: without this
+# gate acceptance 04's period-2 3-torus (7 cells) ran its MC part 15% and
+# its exact part 8% slower (BENCH_redundant-rows.json, "gates").
+_MIN_RELATED = 32
 
 
 def _drop_redundant_rows(X, i: int, bits2: int) -> int:
     """bits2 without t(c) for every related (i+2)-cell c whose faces are all
     open: the kept rows span the same space (see `_relations`)."""
     relations = _relations(X, i)
-    if relations is None or bits2.bit_count() < relations.min_open:
+    if relations is None or bits2.bit_count() < relations.min_faces:
         return bits2
     raw = bits2.to_bytes((X.num_cells(i + 1) + 7) // 8, "little")
     open2 = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
@@ -232,9 +231,9 @@ def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
     system is released before the new one is built, so two systems are
     never alive at once.  The rows of `bits2` that the relation table of
     degree i proves redundant are dropped before the elimination; the key
-    keeps the caller's `bits2`.  With no (i+2)-cells, fewer than 32 related
-    ones, fewer open (i+1)-cells than the smallest related cell has faces,
-    or fewer than half of them open, no numpy call is made for this.
+    keeps the caller's `bits2`.  On complexes with few related (i+2)-cells,
+    and with fewer open (i+1)-cells than the smallest related one has
+    faces, no numpy call is made for this.
     """
     key = (i, q, bits2, bits1)
     slot = X.cache.pop("cocycle_system", None)
@@ -243,7 +242,8 @@ def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
         return slot[1]
     del slot  # the old system goes before the new one is built
     n_i = X.num_cells(i)
-    bits2 = _drop_redundant_rows(X, i, bits2)
+    if X.num_cells(i + 2) >= _MIN_RELATED and len(_relations(X, i).targets) >= _MIN_RELATED:
+        bits2 = _drop_redundant_rows(X, i, bits2)
     if q in (2, 3):
         closed = ((1 << n_i) - 1) & ~gfq.bit_reverse(bits1, n_i)
         masks = _face_masks(X, i + 1, q) if bits2 else []

@@ -1,5 +1,4 @@
 """Cocycle spaces, Betti numbers, V_gamma, Euler characteristic, min area."""
-import contextlib
 import copy
 import random
 import sys
@@ -274,19 +273,6 @@ def unfiltered_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSyste
     return CocycleSystem(q, n_i, closed, len(closed) - red.rank, red=red)
 
 
-@contextlib.contextmanager
-def filter_always_on(X, i: int):
-    """Run the row filter on X at degree i whatever its size and density."""
-    key, table = ("relations", i), _relations(X, i)
-    if table is not None:
-        X.cache[key] = table._replace(min_open=0)
-    try:
-        yield
-    finally:
-        if table is not None:
-            X.cache[key] = table
-
-
 @st.composite
 def dense_pair_cases(draw):
     X, i, q, _, bits1, gamma, seed = draw(pair_cases())
@@ -305,12 +291,14 @@ def dense_pair_cases(draw):
 @example((SYSTEM_COMPLEXES[4], 0, 3, (1 << 54) - 1, 0b1001, Chain.build(0, 3, {5: 2}), 3))
 def test_dropped_rows_leave_the_cocycle_system_unchanged(case):
     X, i, q, bits2, bits1, gamma, seed = case
-    X.cache.pop("cocycle_system", None)
-    with filter_always_on(X, i):
-        system = cocycle_system(X, i, q, bits2, bits1)
-        kept = _drop_redundant_rows(X, i, bits2)
-    full = unfiltered_system(X, i, q, bits2, bits1)
+    kept = _drop_redundant_rows(X, i, bits2)
     assert kept & ~bits2 == 0
+    # no related cell is left with every face open, so the system of the
+    # kept rows eliminates exactly them
+    assert _drop_redundant_rows(X, i, kept) == kept
+    X.cache.pop("cocycle_system", None)
+    system = cocycle_system(X, i, q, kept, bits1)
+    full = unfiltered_system(X, i, q, bits2, bits1)
     # every dropped row reduces to zero against the kept ones
     bmat = boundary_matrix(X, i + 1) % q
     rows = {s: Chain.build(i, q, enumerate(bmat[:, s])) for s in gfq.bit_ids(bits2)}
@@ -335,18 +323,25 @@ def test_dropped_rows_leave_the_cocycle_system_unchanged(case):
     (build_torus(3, 3), 26), (build_torus(4, 2), 15), (build_box(3, [4, 4, 2]), 32),
     (build_torus(3, 4), 63), (build_torus(2, 1), 0), (build_torus(3, 1), 0),
 ])
-def test_every_open_cell_drops_one_row_per_top_cell_but_one_on_a_torus(X, dropped):
+def test_every_open_cell_drops_one_row_per_top_cell_but_one_on_a_torus(X, dropped, monkeypatch):
     # at i = d-2 every d-cell relates the rows of its faces; on a torus of
     # period >= 2 the d-cells sum to a boundary, so one relation is implied
     # by the others, and on period 1 every face appears twice in its cell
     i = X.d - 2
     full = (1 << X.num_cells(i + 1)) - 1
-    with filter_always_on(X, i):
-        assert (full & ~_drop_redundant_rows(X, i, full)).bit_count() == dropped
+    assert (full & ~_drop_redundant_rows(X, i, full)).bit_count() == dropped
     assert len(_relations(X, i).targets) == dropped
-    # unforced, the filter runs from 32 related cells on
-    expected = dropped if dropped >= 32 else 0
-    assert (full & ~_drop_redundant_rows(X, i, full)).bit_count() == expected
+    # cocycle_system eliminates only the kept rows, past its size gate
+    seen = []
+    for name in ("gf2_ref_bits", "gf3_ref_bits"):
+        ref = getattr(gfq, name)
+        monkeypatch.setattr(gfq, name, lambda rows, ref=ref: ref(seen.append(list(rows)) or seen[-1]))
+    n = X.num_cells(i + 1)
+    for q in (2, 3):
+        X.cache.pop("cocycle_system", None)
+        system = cocycle_system(X, i, q, full, 0)
+        assert len(seen[-1]) == (n - dropped if dropped >= homology._MIN_RELATED else n)
+        assert system.pivots.keys() == unfiltered_system(X, i, q, full, 0).pivots.keys()
 
 
 def test_cells_whose_boundary_has_a_boundary_relate_no_rows():
@@ -359,29 +354,26 @@ def test_cells_whose_boundary_has_a_boundary_relate_no_rows():
     # the path e0 + e1 from a to c: boundary(boundary f) = c - a
     path = complex_with([("e0", 1), ("e1", 1)])
     assert len(_relations(path, 0).targets) == 0
-    with filter_always_on(path, 0):
-        assert _drop_redundant_rows(path, 0, 0b111) == 0b111
-        assert cocycle_system(path, 0, 2, 0b111, 0).dim == 1
+    assert _drop_redundant_rows(path, 0, 0b111) == 0b111
+    assert cocycle_system(path, 0, 2, 0b111, 0).dim == 1
     # closing the triangle makes f a relation, which drops its lowest face
     triangle = complex_with([("e0", 1), ("e1", 1), ("e2", 1)])
     assert _relations(triangle, 0).targets.tolist() == [0]
-    with filter_always_on(triangle, 0):
-        assert _drop_redundant_rows(triangle, 0, 0b111) == 0b110
-        assert cocycle_system(triangle, 0, 2, 0b111, 0).dim == 1
+    assert _drop_redundant_rows(triangle, 0, 0b111) == 0b110
+    assert cocycle_system(triangle, 0, 2, 0b111, 0).dim == 1
 
 
 def test_the_row_filter_returns_before_numpy_where_it_cannot_pay(monkeypatch):
-    square, small, cube = build_box(2, [2, 2]), build_box(3, [2, 2, 2]), build_box(3, [4] * 3)
-    other = build_box(3, [4] * 3)
+    square, small, flat = build_box(2, [2, 2]), build_box(3, [2, 2, 2]), build_torus(3, 1)
+    cube, other = build_box(3, [4] * 3), build_box(3, [4] * 3)
     # one table per complex and degree, never shared; none without (i+2)-cells
     assert _relations(cube, 1) is not _relations(other, 1)
     assert _relations(square, 1) is None
-    two_cubes = sum(1 << s for s in set(_relations(cube, 1).faces[:, :2].ravel().tolist()))
     cases = [
         (square, 0b1011, 0b101),
-        (small, (1 << 36) - 1, 0),  # every plaquette open, but 8 related cells
+        (flat, 0b111, 0),  # every plaquette open, but no cube relates rows
         (cube, 0b11111, 0b1),  # fewer open plaquettes than a cube has faces
-        (cube, two_cubes, 0),  # two cubes fully open, but 11 of 240 plaquettes
+        (small, (1 << 36) - 1, 0),  # every plaquette open, but only 8 cubes
     ]
     expected = []
     for X, bits2, bits1 in cases:
