@@ -5,15 +5,17 @@ cochain group below degree i vanishes, so H^i(P2, P1) coincides with the
 space of relative cocycles: cochains vanishing on the open cells of P1
 whose coboundary vanishes on the open cells of P2.  `cocycle_system`
 eliminates bitsliced rows for q in {2, 3} (`gfq.gf2_ref_bits`,
-`gfq.gf3_ref_bits`) and a dense coboundary block for q >= 5 (`gfq.rref`),
-after dropping the rows that boundary(boundary c) = 0 proves redundant
-for every (i+2)-cell c with all faces open (`_relations`).  Every Betti
-number is read off it:
+`gfq.gf3_ref_bits`) and a dense coboundary block for q >= 5 (`gfq.rref`).
+When at least half the (i+1)-cells are open it first drops one row per
+cluster K of (i+2)-cells that the closed (i+1)-cells join and that no
+closed cell joins to the outside, which boundary(boundary K) = 0 proves
+redundant (`_relations`).  Every Betti number is read off it:
 rank H^j = dim Z^j - (|C^(j-1)| - dim Z^(j-1)).
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,48 +57,67 @@ def _face_masks(X, j: int, q: int) -> list:
     key = ("face_masks", j, q)
     if key not in X.cache:
         faces, signs = X.incidence(j)
-        top = X.num_cells(j - 1) - 1
-        masks = []
-        for row, row_signs in zip(faces, signs):
-            coeffs: dict[int, int] = {}
-            for f, sign in zip(row.tolist(), row_signs.tolist()):
-                coeffs[f] = coeffs.get(f, 0) + sign
-            planes = [0, 0]
-            for f, c in coeffs.items():
-                if c % q:
-                    planes[c % q - 1] |= 1 << (top - f)
-            masks.append(planes[0] if q == 2 else tuple(planes))
-        X.cache[key] = masks
+        coeffs = signs % q
+        if (faces[:, :, None] == faces[:, None, :]).sum() > faces.size:
+            # each face's summed sign in its first slot, 0 in its others
+            keys = (np.arange(len(faces))[:, None] * X.num_cells(j - 1) + faces).ravel()
+            order = np.argsort(keys, kind="stable")
+            starts = np.flatnonzero(np.r_[True, np.diff(keys[order]) != 0])
+            coeffs = np.zeros(keys.size, dtype=np.int64)
+            coeffs[order[starts]] = np.add.reduceat(signs.ravel()[order], starts) % q
+            coeffs = coeffs.reshape(faces.shape)
+        shifts = (X.num_cells(j - 1) - 1 - faces).T.tolist()
+        planes = []
+        for c in range(1, q):
+            # one slot at a time, as 0 or 1 << bit; a row's faces are
+            # distinct now, so OR-ing its slots adds them
+            rows = [0] * len(faces)
+            for on, at in zip((coeffs == c).T.astype(np.int64).tolist(), shifts):
+                rows = map(operator.or_, rows, map(int.__lshift__, on, at))
+            planes.append(list(rows))
+        X.cache[key] = planes[0] if q == 2 else list(zip(*planes))
     return X.cache[key]
 
 
 class _Relations(NamedTuple):
-    """The relations boundary(boundary c) = 0 among the (i+1)-cells: the
-    faces of each related (i+2)-cell c (column c), its designated face
-    t(c), and the fewest faces a related cell has."""
+    """The relations boundary(boundary K) = 0 among the (i+1)-cells, for
+    clusters K of (i+2)-cells.  The columns of `joins` are pairs of
+    (i+2)-cells, node n_(i+2) standing for the outside, and `via` holds the
+    (i+1)-cell whose closing makes each join.  `labels` starts each cell on
+    its own id, or on the outside when the boundary of its boundary does
+    not vanish; `targets` holds t(c), or n_(i+1) where c has none, and
+    `related` counts the cells that have one."""
 
-    faces: np.ndarray
+    joins: np.ndarray
+    via: np.ndarray
+    labels: np.ndarray
     targets: np.ndarray
-    min_faces: int
+    related: int
 
 
 def _relations(X, i: int) -> _Relations | None:
     """The relation table of degree i, cached in `X.cache`; None when X has
     no (i+2)-cells.
 
-    A face s of c qualifies as t(c) when c is the lowest-id coface of s, s
-    appears once in the boundary of c (coefficient +-1) and the boundary of
-    the boundary of c vanishes.  Then whenever every face of c is open, row
-    t(c) is a combination of the other rows of c, each kept or itself some
-    t(c') with c' < c; solving these in increasing c shows that the rows
-    left after dropping every such t(c) span the same space.
+    A closed (i+1)-cell with exactly two distinct cofaces, in whose
+    boundaries it appears once with signs that cancel, joins them; any other
+    closed cell joins each of its cofaces to the outside.  Let K be a
+    cluster of (i+2)-cells that the joins of the closed cells connect but
+    not to the outside: the closed cells cancel in the boundary of K, so
+    boundary(boundary K) = 0 relates rows of open cells only.  A face s of
+    c qualifies as t(c) when c is the lowest-id coface of s, s appears once
+    in the boundary of c (coefficient +-1) and the boundary of the boundary
+    of c vanishes.  Then t(max K) appears in the boundary of K with
+    coefficient +-1, and every other t(c) there has c < max K: dropping
+    t(max K) for every such K and solving the relations in increasing
+    max K shows that the kept rows span the same space.
     """
     if not X.num_cells(i + 2):
         return None
     key = ("relations", i)
     if key not in X.cache:
         faces, signs = X.incidence(i + 2)
-        n_c = len(faces)
+        n_c, n_s = len(faces), X.num_cells(i + 1)
         cells = np.broadcast_to(np.arange(n_c)[:, None], faces.shape)
         real = signs != 0  # the zero-sign padding of explicit complexes
         # boundary(boundary c) = 0: the coefficients on each i-cell sum to 0
@@ -111,21 +132,25 @@ def _relations(X, i: int) -> _Relations | None:
         exact[keys[starts[sums != 0]] // X.num_cells(i)] = False
         same = (faces[:, :, None] == faces[:, None, :]) & real[:, None, :]
         once = real & (same.sum(axis=2) == 1) & (np.abs(signs) == 1)
-        lowest = np.full(X.num_cells(i + 1), n_c)
+        lowest = np.full(n_s, n_c)
         np.minimum.at(lowest, faces[real], cells[real])
         ok = once & (lowest[faces] == cells) & exact[:, None]
-        related = ok.any(axis=1)
         # the lowest-id candidate, whose row enters the elimination last: on
         # a 12^3 box at (0.9, 0.1) it saves 53% of the reduction steps, the
         # first or the highest candidate 20%
-        targets = np.where(ok, faces, X.num_cells(i + 1)).min(axis=1)[related]
-        # padding points at t(c), so "every face open" needs no mask; one row
-        # per face slot, as a reduction over the first axis is the fast one
-        rel_faces = np.where(real[related], faces[related], targets[:, None]).T.copy()
-        # the faces that appear once are distinct, so they bound the count
-        # from below; with no related cell no bits2 reaches the bound
-        min_faces = int(once[related].sum(axis=1).min(initial=X.num_cells(i + 1) + 1))
-        X.cache[key] = _Relations(rel_faces, targets, min_faces)
+        targets = np.where(ok, faces, n_s).min(axis=1)
+        # the coface entries of every (i+1)-cell, grouped by cell
+        order = np.argsort(faces[real], kind="stable")
+        face, coface, sign = faces[real][order], cells[real][order], signs[real][order]
+        first = np.flatnonzero((np.diff(face, prepend=-1) != 0) & (np.bincount(face)[face] == 2))
+        paired = first[(coface[first] != coface[first + 1]) & (sign[first] + sign[first + 1] == 0)]
+        alone = np.ones(len(face), dtype=bool)
+        alone[paired] = alone[paired + 1] = False
+        joins = np.stack([np.concatenate([coface[paired], coface[alone]]),
+                          np.concatenate([coface[paired + 1], np.full(alone.sum(), n_c)])])
+        labels = np.where(exact, np.arange(n_c), n_c)
+        X.cache[key] = _Relations(joins, np.concatenate([face[paired], face[alone]]),
+                                  np.append(labels, n_c), targets, int((targets < n_s).sum()))
     return X.cache[key]
 
 
@@ -136,19 +161,42 @@ def _relations(X, i: int) -> _Relations | None:
 _MIN_RELATED = 32
 
 
-def _drop_redundant_rows(X, i: int, bits2: int) -> int:
-    """bits2 without t(c) for every related (i+2)-cell c whose faces are all
-    open: the kept rows span the same space (see `_relations`)."""
-    relations = _relations(X, i)
-    if relations is None or bits2.bit_count() < relations.min_faces:
-        return bits2
-    raw = bits2.to_bytes((X.num_cells(i + 1) + 7) // 8, "little")
+def _drop_redundant_rows(X, i: int, bits2: int) -> list[int]:
+    """The ids of the open (i+1)-cells of bits2 in decreasing order, without
+    t(max K) for every cluster K that no join connects to the outside (see
+    `_relations`): the kept rows span the same space.
+
+    Only pairs with at least half the (i+1)-cells open are filtered; below
+    that the ids are listed as they are, since on 12^3 at (0.5, 0.9) and
+    6^3 at (0.5, 0.5) dropping the rows of all-open cells cost more than it
+    saved (BENCH_enclosed-clusters.json, "gates")."""
+    n_s = X.num_cells(i + 1)
+    raw = bits2.to_bytes((n_s + 7) // 8, "little")
     open2 = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    full = open2[relations.faces].all(axis=0)
-    if not full.any():
-        return bits2
-    open2[relations.targets[full]] = 0
-    return int.from_bytes(np.packbits(open2, bitorder="little").tobytes(), "little")
+    relations = _relations(X, i) if 2 * bits2.bit_count() >= n_s else None
+    if relations is not None:
+        closed = open2[relations.via] == 0
+        low, high = (cells[closed] for cells in relations.joins)
+        labels = relations.labels.copy()
+        # hook the lower root of every join onto the higher one, then jump
+        # pointers until every label is a root: each cluster ends labelled
+        # by its highest cell, and one that reaches the outside by n_(i+2)
+        while True:
+            a, b = labels[low], labels[high]
+            apart = a != b
+            if not apart.any():
+                break
+            low, high, a, b = low[apart], high[apart], a[apart], b[apart]
+            labels[np.minimum(a, b)] = np.maximum(a, b)
+            while True:
+                jumped = labels[labels]
+                if np.array_equal(jumped, labels):
+                    break
+                labels = jumped
+        roots = np.flatnonzero(labels[:-1] == np.arange(len(labels) - 1))
+        targets = relations.targets[roots]
+        open2[targets[targets < n_s]] = 0
+    return np.flatnonzero(open2)[::-1].tolist()
 
 
 @dataclass(slots=True)
@@ -230,10 +278,10 @@ def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
     one elimination; callers must not mutate the result.  On a miss the old
     system is released before the new one is built, so two systems are
     never alive at once.  The rows of `bits2` that the relation table of
-    degree i proves redundant are dropped before the elimination; the key
-    keeps the caller's `bits2`.  On complexes with few related (i+2)-cells,
-    and with fewer open (i+1)-cells than the smallest related one has
-    faces, no numpy call is made for this.
+    degree i proves redundant are dropped before the elimination when at
+    least half the (i+1)-cells are open (`_drop_redundant_rows`); the key
+    keeps the caller's `bits2`.  On complexes with few related (i+2)-cells
+    the open ids are listed without numpy.
     """
     key = (i, q, bits2, bits1)
     slot = X.cache.pop("cocycle_system", None)
@@ -242,14 +290,15 @@ def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
         return slot[1]
     del slot  # the old system goes before the new one is built
     n_i = X.num_cells(i)
-    if X.num_cells(i + 2) >= _MIN_RELATED and len(_relations(X, i).targets) >= _MIN_RELATED:
-        bits2 = _drop_redundant_rows(X, i, bits2)
+    if X.num_cells(i + 2) >= _MIN_RELATED and _relations(X, i).related >= _MIN_RELATED:
+        open_ids = _drop_redundant_rows(X, i, bits2)
+    else:
+        open_ids = gfq.bit_ids(bits2)[::-1]
     if q in (2, 3):
         closed = ((1 << n_i) - 1) & ~gfq.bit_reverse(bits1, n_i)
         masks = _face_masks(X, i + 1, q) if bits2 else []
         # decreasing ids: the row space, and so the pivot set, is unchanged,
         # and the elimination fills in less
-        open_ids = reversed(gfq.bit_ids(bits2))
         if q == 2:
             pivots = gfq.gf2_ref_bits(masks[s] & closed for s in open_ids)
         else:
@@ -258,7 +307,7 @@ def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
         system = CocycleSystem(q, n_i, closed, closed.bit_count() - len(pivots), pivots=pivots)
     else:
         closed = np.flatnonzero(gfq.bits_to_vector(bits1, n_i) == 0)
-        red = gfq.rref(X.coboundary_matrix(i, gfq.bit_ids(bits2), closed), q)
+        red = gfq.rref(X.coboundary_matrix(i, open_ids[::-1], closed), q)
         system = CocycleSystem(q, n_i, closed, len(closed) - red.rank, red=red)
     X.cache["cocycle_system"] = (key, system)
     return system

@@ -1,5 +1,6 @@
 """Cocycle spaces, Betti numbers, V_gamma, Euler characteristic, min area."""
 import copy
+import itertools
 import random
 import sys
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from cpp_lab import gfq, homology
-from cpp_lab.complexes import (CellComplex, Chain, ExplicitComplex, PercSubcomplex,
+from cpp_lab.complexes import (Cell, CellComplex, Chain, ExplicitComplex, PercSubcomplex,
                                boundary_chain, build_box, build_torus,
                                dual_subcomplex, two_squares_complex)
 from cpp_lab.homology import (CocycleSystem, RelPair, _drop_redundant_rows, _face_masks,
@@ -150,8 +153,8 @@ SYSTEM_COMPLEXES = (build_box(2, [2, 2]), build_torus(2, 1), build_torus(2, 2),
 
 
 @st.composite
-def pair_cases(draw):
-    X = draw(st.sampled_from(SYSTEM_COMPLEXES))
+def pair_cases(draw, complexes=SYSTEM_COMPLEXES):
+    X = draw(st.sampled_from(complexes))
     i = draw(st.sampled_from([0, 1]))
     q = draw(st.sampled_from([2, 3, 5]))
     n_i = X.num_cells(i)
@@ -256,6 +259,25 @@ def test_gf3_cocycle_system_matches_the_dense_solver(case):
     assert rng.bit_generator.state == clone.bit_generator.state
 
 
+@pytest.mark.parametrize("X", [build_box(2, [3, 2]), build_box(3, [2, 3, 1]), build_torus(2, 1),
+                               build_torus(2, 2), build_torus(3, 1), build_torus(3, 2),
+                               build_torus(3, 3), build_torus(4, 1), two_squares_complex(), RAGGED])
+def test_face_masks_sum_the_signs_of_each_face(X):
+    for j in range(1, X.d + 1):
+        faces, signs = X.incidence(j)
+        top = X.num_cells(j - 1) - 1
+        for q in (2, 3):
+            expected = []
+            for row, row_signs in zip(faces.tolist(), signs.tolist()):
+                coeffs = {}
+                for f, sign in zip(row, row_signs):
+                    coeffs[f] = coeffs.get(f, 0) + sign
+                planes = [sum(1 << (top - f) for f, c in coeffs.items() if c % q == v)
+                          for v in range(1, q)]
+                expected.append(planes[0] if q == 2 else tuple(planes))
+            assert _face_masks(X, j, q) == expected
+
+
 def unfiltered_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
     """The cocycle system eliminated over the row of every open (i+1)-cell."""
     n_i = X.num_cells(i)
@@ -273,10 +295,23 @@ def unfiltered_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSyste
     return CocycleSystem(q, n_i, closed, len(closed) - red.rank, red=red)
 
 
+# the row filter's clusters reach across periodic and multi-cube complexes
+FILTER_COMPLEXES = SYSTEM_COMPLEXES + (build_torus(3, 2), build_torus(3, 3),
+                                      build_box(3, [3, 3, 2]))
+
+
+def kept_rows(X, i: int, bits2: int) -> int:
+    """The rows `_drop_redundant_rows` keeps, as a bitset; they come in
+    decreasing order."""
+    ids = _drop_redundant_rows(X, i, bits2)
+    assert ids == sorted(ids, reverse=True)
+    return sum(1 << s for s in ids)
+
+
 @st.composite
 def dense_pair_cases(draw):
-    X, i, q, _, bits1, gamma, seed = draw(pair_cases())
-    # a few closed (i+1)-cells, so that some (i+2)-cells have every face open
+    X, i, q, _, bits1, gamma, seed = draw(pair_cases(FILTER_COMPLEXES))
+    # a few closed (i+1)-cells, so that clusters of (i+2)-cells are enclosed
     full = (1 << X.num_cells(i + 1)) - 1
     closed = draw(st.integers(0, full))
     for _ in range(draw(st.integers(0, 3))):
@@ -291,13 +326,10 @@ def dense_pair_cases(draw):
 @example((SYSTEM_COMPLEXES[4], 0, 3, (1 << 54) - 1, 0b1001, Chain.build(0, 3, {5: 2}), 3))
 def test_dropped_rows_leave_the_cocycle_system_unchanged(case):
     X, i, q, bits2, bits1, gamma, seed = case
-    kept = _drop_redundant_rows(X, i, bits2)
+    kept = kept_rows(X, i, bits2)
     assert kept & ~bits2 == 0
-    # no related cell is left with every face open, so the system of the
-    # kept rows eliminates exactly them
-    assert _drop_redundant_rows(X, i, kept) == kept
-    X.cache.pop("cocycle_system", None)
-    system = cocycle_system(X, i, q, kept, bits1)
+    # the elimination of exactly the kept rows against that of every row
+    system = unfiltered_system(X, i, q, kept, bits1)
     full = unfiltered_system(X, i, q, bits2, bits1)
     # every dropped row reduces to zero against the kept ones
     bmat = boundary_matrix(X, i + 1) % q
@@ -317,6 +349,109 @@ def test_dropped_rows_leave_the_cocycle_system_unchanged(case):
     assert rng.bit_generator.state == clone.bit_generator.state
 
 
+def shared_faces(X, cubes) -> int:
+    """The (d-1)-cells that two of the given d-cells share, as a bitset."""
+    faces = [set(X.incidence(X.d)[0][c].tolist()) for c in cubes]
+    return sum(1 << s for s in set.union(*(a & b for a, b in itertools.combinations(faces, 2))))
+
+
+def test_an_enclosed_cluster_of_cubes_drops_one_row():
+    # two cubes joined by their closed shared plaquette, every outer face open
+    X = build_box(3, [2, 1, 1])
+    full = (1 << X.num_cells(2)) - 1
+    inner = shared_faces(X, [0, 1])
+    assert inner.bit_count() == 1
+    assert full & ~kept_rows(X, 1, full & ~inner) == inner | 1 << int(_relations(X, 1).targets[1])
+    # a 2x2x1 block of a 3x3x2 box with its 4 inner plaquettes closed is one
+    # cluster, and each of the other 14 cubes is one
+    X = build_box(3, [3, 3, 2])
+    block = [X.cell_id(Cell((x, y, 0), (0, 1, 2))) for x in (0, 1) for y in (0, 1)]
+    inner = shared_faces(X, block)
+    assert inner.bit_count() == 4
+    bits2 = ((1 << X.num_cells(2)) - 1) & ~inner
+    assert (bits2 & ~kept_rows(X, 1, bits2)).bit_count() == 15
+    assert _relations(X, 1).targets[max(block)] not in _drop_redundant_rows(X, 1, bits2)
+
+
+@pytest.mark.parametrize("g,closed,kept", [
+    ([("e0", 1), ("e1", 1), ("e2", 1)], ["e2"], [5, 4, 1, 0]),  # g and f joined: t(f) = e3 goes
+    ([("e0", -1), ("e1", -1), ("e2", -1)], ["e2"], [5, 4, 3, 1, 0]),  # e2 has one sign in both
+    ([("e0", 1), ("e2", 1)], ["e2"], [5, 4, 3, 1, 0]),  # the boundary of g has a boundary
+    ([("e0", 1), ("e1", 1), ("e2", 1), ("e5", 1), ("e5", -1)], ["e2", "e5"], [4, 3, 1, 0]),
+])
+def test_only_a_closed_face_once_in_two_cells_with_opposite_signs_joins_them(g, closed, kept):
+    # f = e3 + e4 - e2 bounds the triangle a, c, d; g comes first and shares e2
+    # with f; the last g has e5 twice, so a closed e5 joins it to the outside
+    edges = {"e0": [("b", 1), ("a", -1)], "e1": [("c", 1), ("b", -1)],
+             "e2": [("a", 1), ("c", -1)], "e3": [("d", 1), ("c", -1)],
+             "e4": [("a", 1), ("d", -1)], "e5": [("d", 1), ("b", -1)]}
+    X = ExplicitComplex([list("abcd"), list(edges), ["g", "f"]],
+                        {**edges, "g": g, "f": [("e2", -1), ("e3", 1), ("e4", 1)]})
+    bits2 = 0b111111 & ~sum(1 << X.name_id(1, e) for e in closed)
+    assert _drop_redundant_rows(X, 0, bits2) == kept
+    for q in (2, 3, 5):
+        assert unfiltered_system(X, 0, q, kept_rows(X, 0, bits2), 0).dim == \
+            unfiltered_system(X, 0, q, bits2, 0).dim
+
+
+@pytest.mark.parametrize("X,i", [(build_box(3, [6, 6, 6]), 1), (build_torus(3, 3), 1),
+                                 (build_box(2, [7, 5]), 0), (build_box(3, [3, 3, 3]), 0),
+                                 (build_torus(4, 2), 2)])
+def test_dropped_rows_are_the_targets_of_the_tops_of_enclosed_clusters(X, i):
+    # the clusters recomputed from the incidence lists by a graph library
+    faces, signs = X.incidence(i + 2)
+    n_c = len(faces)
+    cofaces = {}
+    for c, s, sign in zip(np.repeat(np.arange(n_c), faces.shape[1]), faces.ravel(), signs.ravel()):
+        if sign:
+            cofaces.setdefault(int(s), []).append((int(c), int(sign)))
+    exact = ~(boundary_matrix(X, i + 1) @ boundary_matrix(X, i + 2)).any(axis=0)
+    targets = _relations(X, i).targets
+    n = X.num_cells(i + 1)
+    rnd = random.Random(29)
+    for k in range(30):
+        # 1/8, 3/8 or 1/2 of the (i+1)-cells closed: from small clusters to
+        # ones that span the complex, on both sides of the gate
+        a, b, c = (rnd.getrandbits(n) for _ in range(3))
+        bits2 = ((1 << n) - 1) & ~(a & b & c, a & (b | c), a)[k % 3]
+        edges = [(c, n_c) for c in np.flatnonzero(~exact)]
+        for s in gfq.bit_ids(((1 << n) - 1) & ~bits2):
+            pair = cofaces.get(s, [])
+            if len(pair) == 2 and pair[0][0] != pair[1][0] and pair[0][1] + pair[1][1] == 0:
+                edges.append((pair[0][0], pair[1][0]))
+            else:
+                edges += [(c, n_c) for c, _ in pair]
+        u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        graph = coo_matrix((np.ones(len(u)), (u, v)), shape=(n_c + 1, n_c + 1))
+        _, component = connected_components(graph, directed=False)
+        tops = {}
+        for c in range(n_c):
+            if component[c] != component[n_c]:
+                tops[component[c]] = c
+        dropped = {int(targets[c]) for c in tops.values() if targets[c] < n}
+        if 2 * bits2.bit_count() < n:
+            dropped = set()
+        assert bits2 & ~kept_rows(X, i, bits2) == sum(1 << s for s in dropped)
+
+
+@pytest.mark.parametrize("X", [build_box(2, [3, 2]), build_box(3, [2, 2, 2]),
+                               build_box(3, [3, 3, 2]), build_box(4, [2, 2, 1, 1])])
+def test_kept_rows_of_a_box_past_the_gate_are_independent(X):
+    # at i = d-2 every cycle of rows bounds an enclosed cluster of d-cells,
+    # so with no open (d-2)-cell to mask them the kept rows are independent
+    i, n = X.d - 2, X.num_cells(X.d - 1)
+    rnd = random.Random(17)
+    for _ in range(20):
+        bits2 = ((1 << n) - 1) & ~(rnd.getrandbits(n) & rnd.getrandbits(n))
+        if 2 * bits2.bit_count() < n:
+            continue
+        kept = kept_rows(X, i, bits2)
+        for q in (2, 3, 5):
+            system = unfiltered_system(X, i, q, kept, 0)
+            rank = len(system.pivots) if q in (2, 3) else system.red.rank
+            assert rank == kept.bit_count()
+
+
 @pytest.mark.parametrize("X,dropped", [
     (build_box(2, [3, 2]), 6), (build_box(3, [2, 2, 2]), 8), (build_box(3, [3, 1, 2]), 6),
     (build_torus(2, 2), 3), (build_torus(2, 3), 8), (build_torus(3, 2), 7),
@@ -329,8 +464,8 @@ def test_every_open_cell_drops_one_row_per_top_cell_but_one_on_a_torus(X, droppe
     # by the others, and on period 1 every face appears twice in its cell
     i = X.d - 2
     full = (1 << X.num_cells(i + 1)) - 1
-    assert (full & ~_drop_redundant_rows(X, i, full)).bit_count() == dropped
-    assert len(_relations(X, i).targets) == dropped
+    assert (full & ~kept_rows(X, i, full)).bit_count() == dropped
+    assert _relations(X, i).related == dropped
     # cocycle_system eliminates only the kept rows, past its size gate
     seen = []
     for name in ("gf2_ref_bits", "gf3_ref_bits"):
@@ -353,13 +488,13 @@ def test_cells_whose_boundary_has_a_boundary_relate_no_rows():
 
     # the path e0 + e1 from a to c: boundary(boundary f) = c - a
     path = complex_with([("e0", 1), ("e1", 1)])
-    assert len(_relations(path, 0).targets) == 0
-    assert _drop_redundant_rows(path, 0, 0b111) == 0b111
+    assert _relations(path, 0).related == 0
+    assert _drop_redundant_rows(path, 0, 0b111) == [2, 1, 0]
     assert cocycle_system(path, 0, 2, 0b111, 0).dim == 1
     # closing the triangle makes f a relation, which drops its lowest face
     triangle = complex_with([("e0", 1), ("e1", 1), ("e2", 1)])
     assert _relations(triangle, 0).targets.tolist() == [0]
-    assert _drop_redundant_rows(triangle, 0, 0b111) == 0b110
+    assert _drop_redundant_rows(triangle, 0, 0b111) == [2, 1]
     assert cocycle_system(triangle, 0, 2, 0b111, 0).dim == 1
 
 
@@ -369,10 +504,14 @@ def test_the_row_filter_returns_before_numpy_where_it_cannot_pay(monkeypatch):
     # one table per complex and degree, never shared; none without (i+2)-cells
     assert _relations(cube, 1) is not _relations(other, 1)
     assert _relations(square, 1) is None
+    # below half the plaquettes open nothing is dropped, not even the row of
+    # a cube with every face open
+    faces = cube.incidence(3)[0][0].tolist()
+    sparse = sum(1 << s for s in faces)
+    assert kept_rows(cube, 1, sparse) == sparse
     cases = [
         (square, 0b1011, 0b101),
         (flat, 0b111, 0),  # every plaquette open, but no cube relates rows
-        (cube, 0b11111, 0b1),  # fewer open plaquettes than a cube has faces
         (small, (1 << 36) - 1, 0),  # every plaquette open, but only 8 cubes
     ]
     expected = []

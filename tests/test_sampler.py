@@ -1,4 +1,5 @@
 """Sampler correctness against exact oracles, determinism, gauge variant."""
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -143,6 +144,27 @@ def test_seed_determinism_is_bitwise():
     for a, b in zip(r1.series["open2"], r2.series["open2"]):
         assert np.array_equal(a, b)
     assert r1.series_csv_rows() == r2.series_csv_rows()
+
+
+# sha256 of f after each of 20 sweeps on a side^3 box at (p2, p1) = (0.9, 0.1),
+# i = 1, seed 41: the seeded stream, which a faster solver must keep
+STREAM_DIGESTS = {
+    (2, 6): "4b7dc625bcbe9a7743eadd1bc589978648c8aa8e8a9cf6c5847bdec3ba6d9704",
+    (3, 6): "9f2fab87d421a8e07ed39a2bb6655213c6ebae82dbfe5e96a90aaad9263bd07b",
+    (5, 4): "1daf90c2d5b81eab0e6f3bef3531249f35708ac5dc270336e78538448679ef18",
+}
+
+
+@pytest.mark.parametrize("q,side", sorted(STREAM_DIGESTS))
+def test_seeded_sweeps_keep_their_stream(q, side):
+    X = build_box(3, [side] * 3)
+    cfg = S.RunConfig(q=q, i=1, p2=0.9, p1=0.1, n_samples=20, seed=41)
+    state = S.init_state(X, cfg)
+    digest = hashlib.sha256()
+    for _ in range(20):
+        state = S.sweep(state, cfg, X)
+        digest.update(np.asarray(state.f, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == STREAM_DIGESTS[q, side]
 
 
 def test_distinct_chains_get_distinct_streams():
