@@ -9,8 +9,12 @@ eliminates bitsliced rows for q in {2, 3} (`gfq.gf2_ref_bits`,
 When at least half the (i+1)-cells are open it first drops one row per
 cluster K of (i+2)-cells that the closed (i+1)-cells join and that no
 closed cell joins to the outside, which boundary(boundary K) = 0 proves
-redundant (`_relations`).  Every Betti number is read off it:
-rank H^j = dim Z^j - (|C^(j-1)| - dim Z^(j-1)).
+redundant (`_relations`).  For i = 1 and q in {2, 3} on complexes with at
+least `_GAUGE_MIN_EDGES` edges it gauge-fixes the system instead
+(`_gauge_system`): a spanning forest of the P1 clusters takes the
+coboundaries dg of the 0-cochains constant on them, a peel forces most
+other edges to 0, and only the rows left are eliminated.  Every Betti
+number is read off it: rank H^j = dim Z^j - (|C^(j-1)| - dim Z^(j-1)).
 """
 from __future__ import annotations
 
@@ -66,17 +70,25 @@ def _face_masks(X, j: int, q: int) -> list:
             coeffs = np.zeros(keys.size, dtype=np.int64)
             coeffs[order[starts]] = np.add.reduceat(signs.ravel()[order], starts) % q
             coeffs = coeffs.reshape(faces.shape)
-        shifts = (X.num_cells(j - 1) - 1 - faces).T.tolist()
-        planes = []
-        for c in range(1, q):
-            # one slot at a time, as 0 or 1 << bit; a row's faces are
-            # distinct now, so OR-ing its slots adds them
-            rows = [0] * len(faces)
-            for on, at in zip((coeffs == c).T.astype(np.int64).tolist(), shifts):
-                rows = map(operator.or_, rows, map(int.__lshift__, on, at))
-            planes.append(list(rows))
-        X.cache[key] = planes[0] if q == 2 else list(zip(*planes))
+        X.cache[key] = _pack_rows(coeffs, X.num_cells(j - 1) - 1 - faces, q)
     return X.cache[key]
+
+
+def _pack_rows(coeffs: np.ndarray, shifts: np.ndarray, q: int) -> list:
+    """Bitsliced GF(q) rows, q in {2, 3}: slot k of row r puts coefficient
+    coeffs[r, k] at bit shifts[r, k] (>= 0), and the slots of a row with a
+    nonzero coefficient hit distinct bits.  A q = 2 row is one mask, a q = 3
+    row the planes (ones, twos)."""
+    shifts = shifts.T.tolist()
+    planes = []
+    for c in range(1, q):
+        # one slot at a time, as 0 or 1 << bit; a row's bits are distinct,
+        # so OR-ing its slots adds them
+        rows = [0] * len(coeffs)
+        for on, at in zip((coeffs == c).T.astype(np.int64).tolist(), shifts):
+            rows = map(operator.or_, rows, map(int.__lshift__, on, at))
+        planes.append(list(rows))
+    return planes[0] if q == 2 else list(zip(*planes))
 
 
 class _Relations(NamedTuple):
@@ -154,6 +166,26 @@ def _relations(X, i: int) -> _Relations | None:
     return X.cache[key]
 
 
+def _join(labels: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Union the nodes low[k] and high[k] for every k, from `labels` (each
+    node's label, every label a root: labels[labels] = labels).  Hooks the
+    lower root of every join onto the higher one, then jumps pointers until
+    every label is a root again; each union ends labelled by its highest
+    initial label (Shiloach-Vishkin)."""
+    while True:
+        a, b = labels[low], labels[high]
+        apart = a != b
+        if not apart.any():
+            return labels
+        low, high, a, b = low[apart], high[apart], a[apart], b[apart]
+        labels[np.minimum(a, b)] = np.maximum(a, b)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
 # The row filter is a fixed cost of a few numpy calls per elimination; on a
 # complex with fewer related cells it costs more than it saves: without this
 # gate acceptance 04's period-2 3-torus (7 cells) ran its MC part 15% and
@@ -177,26 +209,207 @@ def _drop_redundant_rows(X, i: int, bits2: int) -> list[int]:
     if relations is not None:
         closed = open2[relations.via] == 0
         low, high = (cells[closed] for cells in relations.joins)
-        labels = relations.labels.copy()
-        # hook the lower root of every join onto the higher one, then jump
-        # pointers until every label is a root: each cluster ends labelled
-        # by its highest cell, and one that reaches the outside by n_(i+2)
-        while True:
-            a, b = labels[low], labels[high]
-            apart = a != b
-            if not apart.any():
-                break
-            low, high, a, b = low[apart], high[apart], a[apart], b[apart]
-            labels[np.minimum(a, b)] = np.maximum(a, b)
-            while True:
-                jumped = labels[labels]
-                if np.array_equal(jumped, labels):
-                    break
-                labels = jumped
+        # each cluster ends labelled by its highest cell, and one that
+        # reaches the outside by n_(i+2)
+        labels = _join(relations.labels.copy(), low, high)
         roots = np.flatnonzero(labels[:-1] == np.arange(len(labels) - 1))
         targets = relations.targets[roots]
         open2[targets[targets < n_s]] = 0
     return np.flatnonzero(open2)[::-1].tolist()
+
+
+# The gauge path of `cocycle_system` (i = 1, q in {2, 3}) on complexes with
+# at least this many edges, a 10^3 box: the smallest box side at which it
+# was no slower than the elimination at (0.9, 0.1) and (0.5, 0.9) for
+# q = 2 and 3.  Its forest and peel cost numpy calls per BFS level and per
+# peel round, so on 9^3 at (0.5, 0.9), q = 2, it took 1.18x as long
+# (BENCH_gauge-fixed.json, "cutoff").
+_GAUGE_MIN_EDGES = 3630
+
+
+class _GaugeTables(NamedTuple):
+    """The per-complex tables of the gauge path: the tail and the head of
+    every edge (boundary head - tail), the edges of every 2-cell (padding
+    -> n_1) and their signs, the same edges slot by slot, the 2-cells of
+    every edge (padding -> n_2; row n_1 all padding) and the edges at every
+    vertex (padding -> n_1)."""
+
+    tail: np.ndarray
+    head: np.ndarray
+    edges: np.ndarray
+    edge_signs: np.ndarray
+    slots: np.ndarray
+    cofaces: np.ndarray
+    star: np.ndarray
+
+
+def _incident(cells: np.ndarray, n: int) -> np.ndarray:
+    """For a table of ids below n (n meaning none), one row per id, and one
+    more, listing the table rows that hold it, padded with len(cells)."""
+    flat = cells.ravel()
+    owner = np.repeat(np.arange(len(cells)), cells.shape[1])
+    keep = flat < n
+    order = np.argsort(flat[keep], kind="stable")
+    flat, owner = flat[keep][order], owner[keep][order]
+    counts = np.bincount(flat, minlength=n)
+    out = np.full((n + 1, max(1, counts.max(initial=0))), len(cells))
+    out[flat, np.arange(len(flat)) - (np.cumsum(counts) - counts)[flat]] = owner
+    return out
+
+
+def _gauge_tables(X) -> _GaugeTables | None:
+    """The gauge tables of X, cached in `X.cache`; None when X does not fit
+    the gauge path: every edge must have two distinct vertices with signs
+    +1 and -1, every 2-cell distinct edges with signs +-1 (no coincident
+    faces, as on period-1 tori), and the 1-skeleton must be connected."""
+    key = ("gauge_tables",)
+    if key not in X.cache:
+        tables = None
+        if X.num_cells(2):
+            n0, n1 = X.num_cells(0), X.num_cells(1)
+            ends, signs = X.incidence(1)
+            faces, face_signs = X.incidence(2)
+            edges = np.where(face_signs != 0, faces, n1)
+            ordered = np.sort(edges, axis=1)
+            fits = (ends.shape[1] == 2 and (ends[:, 0] != ends[:, 1]).all()
+                    and (np.sort(signs, axis=1) == [-1, 1]).all()
+                    and not ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] < n1)).any()
+                    and (np.abs(face_signs) <= 1).all())
+            if fits and (_join(np.arange(n0), ends[:, 0], ends[:, 1]) == n0 - 1).all():
+                head = np.where(signs[:, 0] == 1, ends[:, 0], ends[:, 1])
+                tables = _GaugeTables(ends.sum(axis=1) - head, head, edges, face_signs,
+                                      edges.T.copy(), _incident(edges, n1),
+                                      _incident(ends, n0)[:n0])
+        X.cache[key] = tables
+    return X.cache[key]
+
+
+class _Gauge(NamedTuple):
+    """What a gauge-path `CocycleSystem` keeps besides its residual rows:
+    the unknown edges W in increasing id order (column k of the residual
+    system is W[k]), the cluster index of every vertex, the number of
+    clusters, and the tables of the complex."""
+
+    cells: np.ndarray
+    cluster: np.ndarray
+    clusters: int
+    tables: _GaugeTables
+
+    def restrict(self, gamma: Chain, q: int) -> list[tuple[int, int]] | None:
+        """gamma's entries on W as (column, coefficient), or None when the
+        boundary of gamma does not sum to 0 mod q over some cluster."""
+        if not gamma.coeffs:
+            return []
+        ids, coeffs = (np.array(v) for v in zip(*gamma.coeffs))
+        at = np.concatenate([self.cluster[self.tables.head[ids]],
+                             self.cluster[self.tables.tail[ids]]])
+        if (np.bincount(at, np.concatenate([coeffs, -coeffs])) % q).any():
+            return None
+        cols = np.searchsorted(self.cells, ids)
+        on = cols < len(self.cells)
+        on[on] = self.cells[cols[on]] == ids[on]
+        return list(zip(cols[on].tolist(), coeffs[on].tolist()))
+
+    def extend(self, f_w: np.ndarray, q: int, rng) -> np.ndarray:
+        """The cochain f' + dg: f' is f_w on W and 0 elsewhere, g is uniform
+        in Z_q per cluster."""
+        g = rng.integers(0, q, size=self.clusters)[self.cluster]
+        f = g[self.tables.head] - g[self.tables.tail]
+        f[self.cells] += f_w
+        return f % q
+
+
+def _unpack(bits: int, n: int) -> np.ndarray:
+    """A bitset as n booleans (bit k -> index k)."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of ids, sorted (a sort is several times faster
+    than `np.unique` on the few hundred ids of a peel round)."""
+    ids = np.sort(ids)
+    keep = np.ones(len(ids), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
+def _gauge_system(X, q: int, bits2: int, bits1: int) -> CocycleSystem | None:
+    """The cocycle system of degree 1 over GF(q), q in {2, 3}, gauge-fixed;
+    None when X does not fit (see `_gauge_tables`).
+
+    Z^1(P2, P1) holds dg for every 0-cochain g constant on the clusters of
+    P1 (vertices joined by open edges).  A spanning tree T of the clusters
+    through closed edges fixes g up to a constant, so f = f' + dg is a
+    bijection between Z^1(P2, P1) and the pairs (g mod constants, f') with
+    f' in Z^1(P2, P1) vanishing on T.  T comes from a BFS over the clusters,
+    one numpy round per level from the cluster of vertex n_0 // 2, each
+    cluster reached through the lowest-id edge that reaches it.  For f' the
+    closed edges off T are unknown; an open 2-cell with one unknown edge
+    left forces it to 0, one with none left is redundant (the elementary
+    reductions of cubical homology, Kaczynski-Mischaikow-Mrozek 2004).  Each
+    peel round touches only the cofaces of the edges the last one forced.
+    The open 2-cells with two or more unknowns left are eliminated over the
+    unknown edges W, renumbered compactly, so dim = |T| + |W| - rank.
+    """
+    tables = _gauge_tables(X)
+    if tables is None:
+        return None
+    n0, n1, n2 = X.num_cells(0), X.num_cells(1), X.num_cells(2)
+    open1 = _unpack(bits1, n1)
+    labels = _join(np.arange(n0), tables.tail[open1], tables.head[open1])
+    # the forest; closed[n1] is the padding of the star table
+    closed = np.append(~open1, False)
+    reached = np.zeros(n0, dtype=bool)
+    level = labels[n0 // 2:n0 // 2 + 1]
+    tree = []
+    first = np.full(n0, n1)
+    while level.size:
+        reached[level] = True
+        frontier = np.zeros(n0, dtype=bool)
+        frontier[level] = True
+        edges = tables.star[np.flatnonzero(frontier[labels])].ravel()
+        edges = edges[closed[edges]]
+        tail, head = labels[tables.tail[edges]], labels[tables.head[edges]]
+        far = np.where(reached[tail], head, tail)
+        new = ~reached[far]
+        edges, far = edges[new], far[new]
+        # each new cluster through the lowest-id edge that reaches it
+        np.minimum.at(first, far, edges)
+        chosen = first[far] == edges
+        tree.append(edges[chosen])
+        level = far[chosen]
+    tree = np.concatenate(tree)
+    unknown = closed
+    unknown[tree] = False
+    # the peel; count[n2] is the padding of the coface table, and the rows
+    # of closed 2-cells start at 0 and only fall
+    as_int = unknown.view(np.uint8)
+    count = np.zeros(n2 + 1, dtype=np.int64)
+    count[:n2] = np.where(_unpack(bits2, n2), sum(as_int[slot] for slot in tables.slots), 0)
+    rows = np.flatnonzero(count == 1)
+    while rows.size:
+        edges = tables.edges[rows]
+        forced = _distinct(edges[unknown[edges]])
+        unknown[forced] = False
+        hit = tables.cofaces[forced].ravel()
+        np.subtract.at(count, hit, 1)
+        # a row twice in here forces the same edge twice, kept once above
+        rows = hit[count[hit] == 1]
+    cells = np.flatnonzero(unknown)
+    width = len(cells)
+    shift = np.zeros(n1 + 1, dtype=np.int64)
+    shift[cells] = np.arange(width - 1, -1, -1)
+    # decreasing ids, as on the elimination path
+    rows = np.flatnonzero(count[:n2] >= 2)[::-1]
+    edges = tables.edges[rows]
+    coeffs = np.where(unknown[edges], tables.edge_signs[rows] % q, 0)
+    packed = _pack_rows(coeffs, shift[edges], q)
+    pivots = gfq.gf2_ref_bits(packed) if q == 2 else gfq.gf3_ref_bits(packed)
+    roots = labels == np.arange(n0)
+    gauge = _Gauge(cells, (np.cumsum(roots) - 1)[labels], int(roots.sum()), tables)
+    return CocycleSystem(q, width, (1 << width) - 1, len(tree) + width - len(pivots),
+                         pivots=pivots, gauge=gauge)
 
 
 @dataclass(slots=True)
@@ -215,6 +428,11 @@ class CocycleSystem:
     the row's lowest cell id, as in the dense RREF.  For q >= 5 `closed`
     holds the closed ids in increasing order and `red` the dense RREF over
     them.
+
+    A gauge-path system (`_gauge_system`) keeps, in the same fields, the
+    residual rows over the unknown edges W: n_i = |W|, `closed` has every
+    bit of W set, and `gauge` maps W back to the edges and holds the P1
+    clusters; its pivots are not those of the full row set.
     """
 
     q: int
@@ -223,20 +441,29 @@ class CocycleSystem:
     dim: int
     pivots: dict[int, int] | dict[int, tuple[int, int]] | None = None
     red: gfq.RrefResult | None = None
+    gauge: _Gauge | None = None
 
     def contains(self, gamma: Chain) -> bool:
         """Whether gamma lies in the row space of the cocycle constraints,
-        i.e. bounds an (i+1)-chain of P2 rel P1 (the event V_gamma)."""
+        i.e. bounds an (i+1)-chain of P2 rel P1 (the event V_gamma).  On the
+        gauge path that is: the boundary of gamma sums to 0 over every
+        cluster (gamma annihilates every dg) and gamma on W lies in the
+        residual row space (gamma annihilates every f')."""
+        entries = gamma.coeffs
+        if self.gauge is not None:
+            entries = self.gauge.restrict(gamma, self.q)
+            if entries is None:
+                return False
         if self.q == 2:
             gbits = 0
-            for idx, c in gamma.coeffs:
+            for idx, c in entries:
                 if c % 2:
                     gbits |= 1 << idx
             gbits = gfq.bit_reverse(gbits, self.n_i)
             return gfq.gf2_residual_bits(self.pivots, gbits & self.closed) == 0
         if self.q == 3:
             planes = [0, 0]
-            for idx, c in gamma.coeffs:
+            for idx, c in entries:
                 if c % 3:
                     planes[c % 3 - 1] |= 1 << (self.n_i - 1 - idx)
             ones, twos = (p & self.closed for p in planes)
@@ -249,15 +476,19 @@ class CocycleSystem:
 
         Free coordinates are drawn i.i.d. uniform in increasing column
         order (no draw when dim = 0) and pivots follow from them, the same
-        stream as uniform coefficients on the dense kernel basis.
+        stream as uniform coefficients on the dense kernel basis.  On the
+        gauge path that draw gives f' on W, and g follows, one uniform value
+        per cluster in cluster order.
         """
-        if self.q == 2:
-            bits = gfq.gf2_kernel_sample(self.pivots, self.closed, rng)
-            return gfq.bits_to_vector(gfq.bit_reverse(bits, self.n_i), self.n_i)
-        if self.q == 3:
-            ones, twos = gfq.gf3_kernel_sample(self.pivots, self.closed, rng)
-            return (gfq.bits_to_vector(gfq.bit_reverse(ones, self.n_i), self.n_i)
-                    + 2 * gfq.bits_to_vector(gfq.bit_reverse(twos, self.n_i), self.n_i))
+        if self.q in (2, 3):
+            if self.q == 2:
+                bits = gfq.gf2_kernel_sample(self.pivots, self.closed, rng)
+                f = gfq.bits_to_vector(gfq.bit_reverse(bits, self.n_i), self.n_i)
+            else:
+                ones, twos = gfq.gf3_kernel_sample(self.pivots, self.closed, rng)
+                f = (gfq.bits_to_vector(gfq.bit_reverse(ones, self.n_i), self.n_i)
+                     + 2 * gfq.bits_to_vector(gfq.bit_reverse(twos, self.n_i), self.n_i))
+            return f if self.gauge is None else self.gauge.extend(f, self.q, rng)
         f = np.zeros(self.n_i, dtype=np.int64)
         if self.dim:
             pivot_cols = list(self.red.pivot_cols)
@@ -281,7 +512,11 @@ def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
     degree i proves redundant are dropped before the elimination when at
     least half the (i+1)-cells are open (`_drop_redundant_rows`); the key
     keeps the caller's `bits2`.  On complexes with few related (i+2)-cells
-    the open ids are listed without numpy.
+    the open ids are listed without numpy.  For i = 1 and q in {2, 3} on
+    complexes with at least `_GAUGE_MIN_EDGES` edges that fit it, the
+    system is gauge-fixed instead (`_gauge_system`): neither the face masks
+    nor the relation table are built, and the seeded draw is not the
+    elimination path's.
     """
     key = (i, q, bits2, bits1)
     slot = X.cache.pop("cocycle_system", None)
@@ -289,6 +524,11 @@ def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
         X.cache["cocycle_system"] = slot
         return slot[1]
     del slot  # the old system goes before the new one is built
+    if i == 1 and q in (2, 3) and X.num_cells(1) >= _GAUGE_MIN_EDGES:
+        system = _gauge_system(X, q, bits2, bits1)
+        if system is not None:
+            X.cache["cocycle_system"] = (key, system)
+            return system
     n_i = X.num_cells(i)
     if X.num_cells(i + 2) >= _MIN_RELATED and _relations(X, i).related >= _MIN_RELATED:
         open_ids = _drop_redundant_rows(X, i, bits2)

@@ -19,8 +19,9 @@ from cpp_lab.homology import (CocycleSystem, RelPair, _drop_redundant_rows, _fac
                               _relations, betti, cocycle_system, euler_characteristic,
                               min_area, rel_betti, subcomplex_cohomology_rank,
                               v_gamma)
-from cpp_lab.errors import BudgetExceeded, DimensionMismatch, TooLarge
+from cpp_lab.errors import BudgetExceeded, DimensionMismatch, DoesNotFit, TooLarge
 from cpp_lab.measures import delta_cochain
+from cpp_lab.observables import rect_loop
 from dense_reference import boundary_matrix, cocycle_basis, cocycle_matrix, cocycle_sample
 
 
@@ -522,6 +523,133 @@ def test_the_row_filter_returns_before_numpy_where_it_cannot_pay(monkeypatch):
     for (X, bits2, bits1), dim in zip(cases, expected):
         X.cache.pop("cocycle_system", None)
         assert cocycle_system(X, 1, 2, bits2, bits1).dim == dim
+
+
+# every fitting complex, the padded explicit one included
+GAUGE_COMPLEXES = (build_box(2, [2, 2]), build_box(2, [3, 2]), build_box(3, [2, 2, 1]),
+                   build_box(3, [2, 2, 2]), build_torus(2, 3), build_torus(3, 2),
+                   build_torus(3, 3), RAGGED)
+
+
+def loop_chains(X, q: int) -> list[Chain]:
+    """The n = 2 loop of `rect_loop` and its open half gamma', where they fit."""
+    if X.kind == "explicit":
+        return []
+    try:
+        fam = rect_loop(2, X.d, X, q)
+    except DoesNotFit:
+        return []
+    return [fam.gamma, fam.gamma_prime]
+
+
+def skewed_bits(draw, n: int) -> int:
+    """A random n-bit set, made sparser or denser by and-ing or or-ing in
+    more of them, so that clusters, forests and peels of every size occur."""
+    full = (1 << n) - 1
+    bits = draw(st.integers(0, full))
+    for _ in range(draw(st.integers(0, 2))):
+        bits &= draw(st.integers(0, full))
+    for _ in range(draw(st.integers(0, 2))):
+        bits |= draw(st.integers(0, full))
+    return bits
+
+
+@st.composite
+def gauge_cases(draw):
+    X = draw(st.sampled_from(GAUGE_COMPLEXES))
+    q = draw(st.sampled_from([2, 3]))
+    n1 = X.num_cells(1)
+    bits2, bits1 = skewed_bits(draw, X.num_cells(2)), skewed_bits(draw, n1)
+    edges = st.integers(0, n1 - 1)
+    gammas = loop_chains(X, q) + [
+        Chain.build(1, q, draw(st.dictionaries(edges, st.integers(1, q - 1), max_size=5)))
+        for _ in range(3)]
+    bmat = boundary_matrix(X, 2)
+    gammas += [Chain.build(1, q, enumerate(bmat[:, s])) for s in range(min(2, X.num_cells(2)))]
+    return X, q, bits2, bits1, gammas, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gauge_cases())
+def test_gauge_path_agrees_with_the_elimination(case):
+    X, q, bits2, bits1, gammas, seed = case
+    X.cache.pop("cocycle_system", None)
+    system = cocycle_system(X, 1, q, bits2, bits1)
+    assert system.gauge is None  # these complexes are below the cut-off
+    gauge = homology._gauge_system(X, q, bits2, bits1)
+    assert gauge.dim == system.dim
+    for g in gammas:
+        assert gauge.contains(g) == system.contains(g)
+    f = gauge.sample(np.random.default_rng(seed))
+    assert f.shape == (X.num_cells(1),) and ((0 <= f) & (f < q)).all()
+    assert not f[gfq.bit_ids(bits1)].any()
+    assert not delta_cochain(f, X, 1, q)[gfq.bit_ids(bits2)].any()
+
+
+def test_gauge_path_agrees_with_the_elimination_on_a_12_box(monkeypatch):
+    X = build_box(3, [12, 12, 12])
+    rng = np.random.default_rng(5)
+    answers = []
+    for q, (p2, p1) in itertools.product((2, 3), [(0.9, 0.1), (0.78, 0.05), (0.5, 0.9),
+                                                  (0.7, 0.1)]):
+        loops = [rect_loop(n, 3, X, q) for n in (2, 4, 6)]
+        gammas = [g for fam in loops for g in (fam.gamma, fam.gamma_prime)]
+        bits2 = gfq.vector_to_bits(rng.random(X.num_cells(2)) < p2)
+        bits1 = gfq.vector_to_bits(rng.random(X.num_cells(1)) < p1)
+        X.cache.pop("cocycle_system", None)
+        gauge = cocycle_system(X, 1, q, bits2, bits1)
+        assert gauge.gauge is not None
+        monkeypatch.setattr(homology, "_GAUGE_MIN_EDGES", float("inf"))
+        X.cache.pop("cocycle_system", None)
+        system = cocycle_system(X, 1, q, bits2, bits1)
+        monkeypatch.undo()
+        assert gauge.dim == system.dim
+        for g in gammas:
+            answers.append(gauge.contains(g))
+            assert answers[-1] == system.contains(g)
+    assert set(answers) == {True, False}
+
+
+def test_the_gauge_path_starts_at_the_cut_off_and_builds_no_face_masks():
+    below, above = build_box(3, [9, 9, 9]), build_box(3, [10, 10, 10])
+    assert below.num_cells(1) < homology._GAUGE_MIN_EDGES <= above.num_cells(1)
+    for q in (2, 3):
+        assert cocycle_system(below, 1, q, (1 << below.num_cells(2)) - 1, 0b110).gauge is None
+        assert cocycle_system(above, 1, q, (1 << above.num_cells(2)) - 1, 0b110).gauge
+    assert set(above.cache) == {("incidence", 1), ("incidence", 2), ("gauge_tables",),
+                                "cocycle_system"}
+    # i = 0 has no gauge; q >= 5 keeps the dense branch
+    assert cocycle_system(above, 0, 2, 0b1011, 0b110).gauge is None
+    assert cocycle_system(above, 1, 5, 0b1011, 0b110).gauge is None
+
+
+def two_separate_squares() -> ExplicitComplex:
+    """Two filled squares with no vertex in common."""
+    boundary = {}
+    for k in (0, 1):
+        v = [f"v{4 * k + m}" for m in range(4)]
+        e = [f"e{4 * k + m}" for m in range(4)]
+        for m in range(4):
+            boundary[e[m]] = [(v[(m + 1) % 4], 1), (v[m], -1)]
+        boundary[f"f{k}"] = [(e[m], 1) for m in range(4)]
+    return ExplicitComplex([[f"v{m}" for m in range(8)], [f"e{m}" for m in range(8)],
+                            ["f0", "f1"]], boundary)
+
+
+@pytest.mark.parametrize("X", [build_torus(2, 1), build_torus(3, 1), two_separate_squares(),
+                               two_squares_complex()])
+def test_complexes_that_do_not_fit_keep_the_elimination(X, monkeypatch):
+    monkeypatch.setattr(homology, "_GAUGE_MIN_EDGES", 0)
+    fits = X.kind == "explicit" and X.num_cells(2) == 1
+    assert (homology._gauge_system(X, 2, 0, 0) is not None) == fits
+    rnd = random.Random(13)
+    for q in (2, 3):
+        for _ in range(10):
+            pair = random_pair(X, 1, rnd)
+            X.cache.pop("cocycle_system", None)
+            system = cocycle_system(X, 1, q, pair.P2.bits, pair.P1.bits)
+            assert (system.gauge is not None) == fits
+            assert system.dim == len(cocycle_basis(pair, q))
 
 
 def test_cocycle_system_keeps_one_system_per_complex():

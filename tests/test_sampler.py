@@ -2,16 +2,17 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from cpp_lab import gfq
+from cpp_lab import gfq, homology
 from cpp_lab import measures as M
 from cpp_lab import sampler as S
-from cpp_lab.complexes import PercSubcomplex, boundary_chain, build_box
+from cpp_lab.complexes import PercSubcomplex, boundary_chain, build_box, build_torus
 from cpp_lab.errors import ValidationError
 from cpp_lab.homology import RelPair, v_gamma
 from cpp_lab.observables import (open_count_observable, rect_loop, vgamma_observable,
@@ -147,11 +148,15 @@ def test_seed_determinism_is_bitwise():
 
 
 # sha256 of f after each of 20 sweeps on a side^3 box at (p2, p1) = (0.9, 0.1),
-# i = 1, seed 41: the seeded stream, which a faster solver must keep
+# i = 1, seed 41: the seeded stream, which a faster solver must keep.  Each
+# route of `cocycle_system` pins its own stream: 6^3 and 4^3 lie below the
+# gauge cut-off (elimination), 12^3 above it (gauge path)
 STREAM_DIGESTS = {
     (2, 6): "4b7dc625bcbe9a7743eadd1bc589978648c8aa8e8a9cf6c5847bdec3ba6d9704",
     (3, 6): "9f2fab87d421a8e07ed39a2bb6655213c6ebae82dbfe5e96a90aaad9263bd07b",
     (5, 4): "1daf90c2d5b81eab0e6f3bef3531249f35708ac5dc270336e78538448679ef18",
+    (2, 12): "cf3e5eea99ddccd6b92052e8338fea482240d802c136a352178cc6a79bdc412f",
+    (3, 12): "d7dd05f0c7c9d6250c87c0b83f62d10ae223c6831d3fdc632997bb8052cffb20",
 }
 
 
@@ -165,6 +170,38 @@ def test_seeded_sweeps_keep_their_stream(q, side):
         state = S.sweep(state, cfg, X)
         digest.update(np.asarray(state.f, dtype=np.int64).tobytes())
     assert digest.hexdigest() == STREAM_DIGESTS[q, side]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("X", [build_box(2, [2, 2]), build_box(3, [2, 2, 1]), build_torus(3, 2)],
+                         ids=["box2x2", "box2x2x1", "torus3p2"])
+def test_gauge_draw_is_uniform_on_the_cocycles(X, q):
+    """Chi-square of the gauge-path draw over the q^dim elements of
+    Z^1(P2, P1), for the first two seeded random pairs with 1 <= dim <= 8
+    (q = 2) or 4 (q = 3): N = 40 q^dim draws per pair (at most 10 240), and
+    the test fails when p < 1e-4."""
+    rnd = random.Random(43)
+    n2, n1 = X.num_cells(2), X.num_cells(1)
+    systems = []
+    while len(systems) < 2:
+        p2, p1 = rnd.uniform(0.5, 1.0), rnd.uniform(0.2, 0.9)
+        bits2 = sum(1 << s for s in range(n2) if rnd.random() < p2)
+        bits1 = sum(1 << e for e in range(n1) if rnd.random() < p1)
+        system = homology._gauge_system(X, q, bits2, bits1)
+        if 1 <= system.dim <= (8 if q == 2 else 4):
+            systems.append((system, bits2, bits1))
+    rng = S.chain_rng(47)
+    for system, bits2, bits1 in systems:
+        states = q ** system.dim
+        n = 40 * states
+        counts = Counter(tuple(system.sample(rng)) for _ in range(n))
+        assert len(counts) == states
+        for f in counts:
+            f = np.array(f)
+            assert not f[gfq.bit_ids(bits1)].any()
+            assert not M.delta_cochain(f, X, 1, q)[gfq.bit_ids(bits2)].any()
+        chisq = sum((c - n / states) ** 2 / (n / states) for c in counts.values())
+        assert stats.chi2.sf(chisq, states - 1) > 1e-4
 
 
 def test_distinct_chains_get_distinct_streams():
@@ -245,9 +282,15 @@ def test_mf_scan_runs_and_reports_error_bars():
         assert r["std_err"] >= 0
 
 
-@pytest.mark.parametrize("q,solver", [(2, "gf2_ref_bits"), (3, "gf3_ref_bits"), (5, "rref")])
-def test_observables_share_the_sweeps_elimination(monkeypatch, q, solver):
-    X = build_box(3, [3, 3, 3])
+@pytest.mark.parametrize("q,solver,side", [
+    pytest.param(2, "gf2_ref_bits", 3, id="2-gf2_ref_bits"),
+    pytest.param(3, "gf3_ref_bits", 3, id="3-gf3_ref_bits"),
+    pytest.param(5, "rref", 3, id="5-rref"),
+    pytest.param(2, "gf2_ref_bits", 12, id="2-gf2_ref_bits-12"),
+    pytest.param(3, "gf3_ref_bits", 12, id="3-gf3_ref_bits-12")])
+def test_observables_share_the_sweeps_elimination(monkeypatch, q, solver, side):
+    # 12^3 is past the gauge cut-off: the residual system is eliminated once
+    X = build_box(3, [side] * 3)
     fam = rect_loop(2, 3, X, q)
     original = getattr(gfq, solver)
     calls = []
