@@ -121,7 +121,8 @@ def main(argv=None) -> None:
             summary[name]["rounds_faster"] = sum(
                 a["ms"] < b["ms"] for a, b in zip(runs, results[first]))
     print(json.dumps({"side": args.side, "q": args.q, "point": [p2, p1], "seed": args.seed,
-                      "rounds": args.rounds, "arms": {k: v[0] + ":" + v[1] for k, v in arms.items()},
+                      "rounds": args.rounds,
+                      "arms": {name: ":".join(arm) for name, arm in arms.items()},
                       "summary": summary, "runs": results}))
 
 
