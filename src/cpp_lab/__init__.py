@@ -16,7 +16,7 @@ from .measures import (Dist, ModelParams, WilsonResult, cpp_weight,
                        exact_wilson, ghost_vertex_check, kappa_marginals,
                        kappa_weight, mu_weight)
 from .observables import (Estimate, LoopFamily, mf_ratio, perimeter,
-                          rect_loop, wilson_value)
+                          rect_loop)
 from .sampler import (ChainState, RunConfig, mf_ratio_scan,
                       resample_percolation, resample_spins, run_chain,
                       sample_general_gauge, sweep)

@@ -260,7 +260,7 @@ def _wilson(cfg: dict) -> Outcome:
         res = measures.exact_wilson(params, X, gamma, cfg["max_states"])
         report = {
             "mode": "exact",
-            "spin_side": repr(res.lhs) if res.lhs_exact is None else str(res.lhs_exact),
+            "spin_side": str(res.lhs_exact),
             "percolation_side": str(res.rhs),
             "abs_difference": res.abs_difference,
         }

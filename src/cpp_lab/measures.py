@@ -19,12 +19,11 @@ cochains by (z1, z2, f(gamma)), each count times its class weight.
 All oracle arithmetic is exact: parameters are rationals in the
 k = p/(1-p) coordinates, and p = 1 (infinite k) is carried as k = None.
 Closed cells then have weight 1 - p = 0, so the factor vanishes unless
-every cell of that dimension is open.  Floating point appears only in
-Wilson phases for q > 3.
+every cell of that dimension is open.  The Wilson expectation is exact at
+every prime q (see `wilson_expectation_exact`).
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -449,13 +448,12 @@ def kappa_marginals(params: ModelParams, X,
 
 @dataclass(frozen=True)
 class WilsonResult:
-    lhs: complex                 # E_mu[W_gamma], floating point
-    rhs: Fraction                # rho(V_gamma), exact
-    lhs_exact: Fraction | None   # exact value when the phases are rational (q <= 3)
+    lhs_exact: Fraction   # E_mu[W_gamma]
+    rhs: Fraction         # rho(V_gamma)
 
     @property
     def abs_difference(self) -> float:
-        return abs(self.lhs - complex(float(self.rhs), 0.0))
+        return float(abs(self.lhs_exact - self.rhs))
 
 
 def wilson_class_sums(params: ModelParams, X, gamma: Chain,
@@ -467,27 +465,22 @@ def wilson_class_sums(params: ModelParams, X, gamma: Chain,
     return [_class_sum(classes[gvals[0] == c], weights) for c in range(params.q)]
 
 
-def wilson_expectation_exact(sums: Sequence[Fraction], q: int) -> Fraction | None:
-    """Exact E[W] when the q-th roots of unity have rational real part."""
+def wilson_expectation_exact(sums: Sequence[Fraction], q: int) -> Fraction:
+    """E_mu[W_gamma] from the class sums A_c, exactly at every prime q.
+
+    f -> kf (k in Z_q^*) keeps the mu-weight and sends f(gamma) = c to kc,
+    so A_c = A_1 for every c != 0.  The nontrivial q-th roots of unity sum
+    to -1, hence E[W] = (A_0 - A_1)/Z = (q A_0 - Z)/((q - 1) Z).
+    """
     total = sum(sums, Fraction(0))
-    if q == 2:
-        return (sums[0] - sums[1]) / total
-    if q == 3:
-        return (sums[0] - (sums[1] + sums[2]) / 2) / total
-    return None
+    return (q * sums[0] - total) / ((q - 1) * total)
 
 
 def exact_wilson(params: ModelParams, X, gamma: Chain,
                  max_states: int = DEFAULT_STATE_GUARD) -> WilsonResult:
     """Both sides of the Wilson identity, from full enumeration."""
     q = params.q
-    sums = wilson_class_sums(params, X, gamma, max_states)
-    total = sum(sums, Fraction(0))
-    lhs = sum(float(a / total) * cmath.exp(2j * cmath.pi * c / q)
-              for c, a in enumerate(sums))
-    lhs_exact = wilson_expectation_exact(sums, q)
-    if lhs_exact is not None:
-        lhs = complex(float(lhs_exact), 0.0)
+    lhs_exact = wilson_expectation_exact(wilson_class_sums(params, X, gamma, max_states), q)
 
     # the V_gamma walk also fills the b_i table that _pair_classes reads
     flags = vgamma_table(X, params.i, q, gamma, max_states)
@@ -495,8 +488,7 @@ def exact_wilson(params: ModelParams, X, gamma: Chain,
     rho_total = _class_sum(classes, W)
     if rho_total <= 0:
         raise ValidationError("distribution has zero total weight")
-    return WilsonResult(lhs=lhs, rhs=_class_sum(classes[flags], W) / rho_total,
-                        lhs_exact=lhs_exact)
+    return WilsonResult(lhs_exact=lhs_exact, rhs=_class_sum(classes[flags], W) / rho_total)
 
 
 # ---------------------------------------------------------------------------

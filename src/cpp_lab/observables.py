@@ -1,7 +1,6 @@
 """Loop constructors, Wilson variables, and the Marcu-Fredenhagen ratio."""
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -81,16 +80,6 @@ def rect_loop(n: int, d: int, X, q: int, width: int | None = None) -> LoopFamily
     )
 
 
-def wilson_value(f, gamma: Chain, q: int) -> complex:
-    """exp(2 pi i f(gamma) / q)."""
-    return cmath.exp(2j * cmath.pi * gamma.evaluate(f) / q)
-
-
-def wilson_real(f, gamma: Chain, q: int) -> float:
-    """Real part of the Wilson variable; E[W] is real by the f -> -f symmetry."""
-    return math.cos(2 * math.pi * gamma.evaluate(f) / q)
-
-
 def perimeter(gamma: Chain) -> int:
     """Number of cells in the support (coefficients do not matter)."""
     return len(gamma.coeffs)
@@ -111,8 +100,15 @@ def mf_ratio(full: Estimate, half: Estimate) -> Estimate:
 # -- observable factories for the sampler -----------------------------------
 
 def wilson_observable(gamma: Chain, q: int):
-    # wilson_real's floats, looked up so that no float is made per sample
-    values = [math.cos(2 * math.pi * k / q) for k in range(q)]
+    """W~ = (q [f(gamma) = 0] - 1)/(q - 1), the mean of Re W over the
+    multiples mf (m in Z_q^*).
+
+    Given the pair, f is uniform on a Z_q-subspace, so W~ is the expectation
+    of Re W given the pair and the orbit {mf}: it has the mean of W and no
+    higher variance, and equals W at q = 2.
+    """
+    # looked up, so that no float is made per sample
+    values = [1.0] + [-1 / (q - 1)] * (q - 1)
 
     def obs(f, P2, P1):
         return values[gamma.evaluate(f)]

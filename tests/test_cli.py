@@ -1,5 +1,6 @@
 """CLI behavior: artifacts, manifests, exit codes, reproducibility."""
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -24,6 +25,34 @@ def test_wilson_exact_reports_zero_difference(tmp_path, capsys):
     assert "|diff|  = 0.000e+00" in out
     manifest = json.loads((tmp_path / "wilson-manifest.json").read_text())
     assert manifest["result"]["abs_difference"] == 0
+
+
+def test_wilson_exact_gamma_file_is_rational_at_q5(tmp_path):
+    gamma = tmp_path / "g.json"
+    gamma.write_text(json.dumps({"dim": 1, "coeffs": {"0": 1, "3": 1}}))  # e0 + e3
+    code = run_cli(["wilson", "--exact", "--q", "5", "--d", "2", "--widths", "2,1",
+                    "--k2", "1/3", "--k1", "2/5", "--gamma-file", str(gamma)], tmp_path)
+    assert code == 0
+    result = json.loads((tmp_path / "wilson-manifest.json").read_text())["result"]
+    assert result["spin_side"] == result["percolation_side"] == "18382099/3347363424"
+    assert result["abs_difference"] == 0
+
+
+# sha256 of the series CSV of a seeded `sample --observables wilson:2` run on a
+# 2x2 box; the wilson observable reads exactly 1.0, -1.0 (q=2) and -0.5 (q=3)
+SAMPLE_DIGESTS = {
+    2: "8fdd77eb4e936a1e30e69e35e9ccf3c1c53e2ba4e9691b6f586654f4cb0ec9d0",
+    3: "363df429b3f0f58307353224230ae57948766a9ac7785a1a5127919179b8d13d",
+}
+
+
+@pytest.mark.parametrize("q", sorted(SAMPLE_DIGESTS))
+def test_seeded_wilson_series_keeps_its_bytes(q, tmp_path):
+    assert run_cli(["sample", "--d", "2", "--widths", "2,2", "--q", str(q), "--i", "1",
+                    "--p2", "0.5", "--p1", "0.5", "--samples", "200", "--burn-in", "20",
+                    "--seed", "7", "--observables", "wilson:2", "--tag", "s"], tmp_path) == 0
+    series = (tmp_path / "s-series.csv").read_bytes()
+    assert hashlib.sha256(series).hexdigest() == SAMPLE_DIGESTS[q]
 
 
 def test_enumerate_rho_writes_reproducible_csv(tmp_path):

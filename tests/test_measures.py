@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cpp_lab import measures as M
 from cpp_lab.complexes import (Chain, ExplicitComplex, PercSubcomplex,
@@ -195,14 +197,13 @@ def test_exact_wilson_trivial_and_worked_cases():
     assert res.lhs_exact == res.rhs
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_wilson_identity_across_moduli(q):
     p = params(q=q, k2=1, k1=2)
     gamma = boundary_chain(SQUARE, SQUARE.cells(2)[0], q)
     res = M.exact_wilson(p, SQUARE, gamma)
-    assert res.abs_difference < 1e-12
-    if q <= 3:
-        assert res.lhs_exact == res.rhs
+    assert isinstance(res.lhs_exact, Fraction)
+    assert res.lhs_exact == res.rhs and res.abs_difference == 0
 
 
 def test_wilson_sums_against_direct_enumeration():
@@ -249,6 +250,45 @@ def test_exact_wilson_rhs_is_the_per_state_rho_sum(case, r):
 def test_exact_wilson_zero_pair_total_is_a_validation_error():
     with pytest.raises(ValidationError, match="zero total weight"):
         M.exact_wilson(params(k2=0, k1=0, r=0), SQUARE, _plaquette_boundary(SQUARE, 2))
+
+
+# at most 2^20 cochains or pair states per case, far below the default guard
+PROPERTY_GUARD = 1 << 20
+PROPERTY_COMPLEXES = {
+    "square": SQUARE, "box12": BOX12, "box21": build_box(2, [2, 1]), "box22": BOX22,
+    "torus2": TORUS2, "torus3": build_torus(2, 3),
+}
+_ratios = st.fractions(min_value=0, max_value=4, max_denominator=6)
+
+
+@st.composite
+def wilson_cases(draw):
+    X = PROPERTY_COMPLEXES[draw(st.sampled_from(sorted(PROPERTY_COMPLEXES)))]
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    i = draw(st.sampled_from([0, 1]))
+    n = X.num_cells(i)
+    coeffs = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, q - 1), max_size=n))
+    p = params(q=q, i=i, k2=draw(_ratios), k1=draw(_ratios))
+    return p, X, Chain.build(i, q, coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wilson_cases())
+@example((params(q=5, i=1), BOX22, _plaquette_boundary(BOX22, 5)))
+def test_wilson_class_sums_agree_off_zero_and_the_identity_is_exact(case):
+    """f -> kf (k in Z_q^*) keeps the mu-weight, so A_c = A_1 for c != 0 and
+    the exact spin side equals rho(V_gamma) at every prime q, for any chain."""
+    p, X, gamma = case
+    try:
+        sums = M.wilson_class_sums(p, X, gamma, PROPERTY_GUARD)
+    except TooLarge:
+        return  # e.g. the 2x2 box at q = 5, i = 1: 5^12 cochains
+    assert all(isinstance(a, Fraction) and a == sums[1] for a in sums[1:])
+    try:
+        res = M.exact_wilson(p, X, gamma, PROPERTY_GUARD)
+    except TooLarge:
+        return
+    assert isinstance(res.lhs_exact, Fraction) and res.lhs_exact == res.rhs
 
 
 def test_one_point_conditionals_take_the_two_stated_values():

@@ -1,5 +1,5 @@
 """Loops, Wilson variables, perimeter, and the MF ratio arithmetic."""
-import cmath
+import math
 import random
 
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from cpp_lab.complexes import Chain, PercSubcomplex, build_box, build_torus, chain_boundary
 from cpp_lab.errors import DegenerateDenominator, DoesNotFit
 from cpp_lab.observables import (Estimate, mf_ratio, open_count_observable, perimeter,
-                                 rect_loop, wilson_observable, wilson_real, wilson_value)
+                                 rect_loop, wilson_observable)
 
 
 def test_rect_loop_shape_and_halves():
@@ -47,33 +47,20 @@ def test_rect_loop_rectangular_flag():
     assert (fam.gamma_prime + fam.gamma_double_prime).coeffs == fam.gamma.coeffs
 
 
-def test_wilson_value_worked_cases():
-    gamma = Chain.build(1, 2, {0: 1})
-    assert wilson_value([0, 0], gamma, 2) == 1
-    assert wilson_value([1, 0], gamma, 2) == pytest.approx(-1)
-    gamma3 = Chain.build(1, 3, {0: 1})
-    assert wilson_value([1, 0], gamma3, 3) == pytest.approx(cmath.exp(2j * cmath.pi / 3))
-
-
-def test_wilson_multiplicativity():
-    rnd = random.Random(59)
-    q = 5
-    for _ in range(40):
-        f = [rnd.randrange(q) for _ in range(6)]
-        g1 = Chain.build(1, q, {rnd.randrange(6): rnd.randrange(1, q) for _ in range(2)})
-        g2 = Chain.build(1, q, {rnd.randrange(6): rnd.randrange(1, q) for _ in range(2)})
-        lhs = wilson_value(f, g1 + g2, q)
-        rhs = wilson_value(f, g1, q) * wilson_value(f, g2, q)
-        assert lhs == pytest.approx(rhs)
-
-
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_wilson_observable_returns_wilson_real_exactly(q):
+    """W~ is the mean of cos(2 pi m f(gamma) / q) over m in Z_q^*; at q = 2
+    it is the Wilson variable itself, exactly +-1."""
     rnd = random.Random(61 + q)
     for _ in range(40):
         gamma = Chain.build(1, q, {rnd.randrange(8): rnd.randrange(1, q) for _ in range(3)})
         f = [rnd.randrange(q) for _ in range(8)]
-        assert wilson_observable(gamma, q)(f, None, None) == wilson_real(f, gamma, q)
+        value = wilson_observable(gamma, q)(f, None, None)
+        c = gamma.evaluate(f)
+        mean = sum(math.cos(2 * math.pi * m * c / q) for m in range(1, q)) / (q - 1)
+        assert abs(value - mean) < 1e-12
+        if q == 2:
+            assert value == (1.0 if c == 0 else -1.0)
 
 
 def test_open_count_observable_shares_one_float_per_count():

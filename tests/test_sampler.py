@@ -136,6 +136,23 @@ def test_chain_estimates_match_exact_oracle():
     assert abs(w.mean - v.mean) <= 4 * math.hypot(w.std_err, v.std_err)
 
 
+def test_wilson_observable_at_q5_has_the_exact_mean_and_less_variance():
+    """W~ is a conditional expectation of cos(2 pi f(gamma) / q): in one chain
+    it has the exact mean and a smaller sample variance than the cosine."""
+    q = 5
+    params = M.ModelParams.from_p(q, 1, Fraction(1, 2), Fraction(1, 2))
+    gamma = boundary_chain(SQUARE, SQUARE.cells(2)[0], q)
+    exact = M.exact_wilson(params, SQUARE, gamma).lhs_exact
+    cfg = S.RunConfig(q=q, i=1, p2=0.5, p1=0.5, n_samples=20_000, burn_in=200, seed=23)
+    res = S.run_chain(SQUARE, cfg, {
+        "w": wilson_observable(gamma, q),
+        "cos": lambda f, P2, P1: math.cos(2 * math.pi * gamma.evaluate(f) / q),
+    }, keep_series=True)
+    w = res.estimates["w"]
+    assert abs(w.mean - float(exact)) <= 4 * w.std_err
+    assert res.series["w"][0].var(ddof=1) < res.series["cos"][0].var(ddof=1)
+
+
 def test_seed_determinism_is_bitwise():
     cfg = S.RunConfig(q=2, i=1, p2=0.4, p1=0.6, n_samples=500, burn_in=50,
                       seed=123, n_chains=2)
