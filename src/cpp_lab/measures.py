@@ -13,8 +13,9 @@ So every pair and coupling weight is one per-count factor k2^a k1^c
 from `_k_pow_factors` alone.
 
 Both sides of the Wilson identity E_mu[W_gamma] = rho(V_gamma) are
-class-count sums (`_class_sum`): pair states counted by (|P2|, |P1|, b_i),
-cochains by (z1, z2, f(gamma)), each count times its class weight.
+class-count sums: cochains counted by (z1, z2, f(gamma)) (`_class_sum`),
+pair states by (|P2|, |P1|, b_i) (`_rho_vgamma`, from counts cached per
+complex), each count times its class weight.
 
 All oracle arithmetic is exact: parameters are rationals in the
 k = p/(1-p) coordinates, and p = 1 (infinite k) is carried as k = None.
@@ -476,19 +477,43 @@ def wilson_expectation_exact(sums: Sequence[Fraction], q: int) -> Fraction:
     return (q * sums[0] - total) / ((q - 1) * total)
 
 
+def _rho_vgamma(params: ModelParams, X, gamma: Chain, max_states: int) -> Fraction:
+    """rho(V_gamma) = sum N_V[a,c,b] k2^a k1^c r^b / sum N[a,c,b] k2^a k1^c r^b.
+
+    N (N_V) counts the pair states (in V_gamma) of each nonzero class
+    (a, c, b) = (|P2|, |P1|, b_i).  The counts do not depend on k2, k1 or r
+    (they are the coefficients of a cellular Tutte-type polynomial), so they
+    are built once per complex from the state tables and kept in X.cache as
+    {(a, c, b): count}; a warm point only weighs the nonzero classes."""
+    i, q = params.i, params.q
+    n1 = X.num_cells(i)
+    m = n1 + 1  # class id (a * m + c) * m + b, as in _pair_classes
+    key = ("pair_counts", i, q)
+    vkey = ("vgamma_counts", i, q, gamma.coeffs)
+    if vkey not in X.cache:
+        # the V_gamma walk also fills the b_i table that _pair_classes reads
+        flags = vgamma_table(X, i, q, gamma, max_states)
+        classes, _ = _pair_classes(params, X, max_states)
+        for k, states in ((key, classes), (vkey, classes[flags])):
+            X.cache[k] = {(c // (m * m), c // m % m, c % m): n
+                          for c, n in enumerate(np.bincount(states).tolist()) if n}
+    counts, v_counts = X.cache[key], X.cache[vkey]
+    pw2 = _k_pow_factors(params.k2, X.num_cells(i + 1))
+    pw1 = _k_pow_factors(params.k1, n1)
+    rpow = [params.r ** b for b in range(m)]
+    w = {k: pw2[k[0]] * pw1[k[1]] * rpow[k[2]] for k in counts}
+    total = sum((n * w[k] for k, n in counts.items()), Fraction(0))
+    if total <= 0:
+        raise ValidationError("distribution has zero total weight")
+    return sum((n * w[k] for k, n in v_counts.items()), Fraction(0)) / total
+
+
 def exact_wilson(params: ModelParams, X, gamma: Chain,
                  max_states: int = DEFAULT_STATE_GUARD) -> WilsonResult:
     """Both sides of the Wilson identity, from full enumeration."""
-    q = params.q
-    lhs_exact = wilson_expectation_exact(wilson_class_sums(params, X, gamma, max_states), q)
-
-    # the V_gamma walk also fills the b_i table that _pair_classes reads
-    flags = vgamma_table(X, params.i, q, gamma, max_states)
-    classes, W = _pair_classes(params, X, max_states)
-    rho_total = _class_sum(classes, W)
-    if rho_total <= 0:
-        raise ValidationError("distribution has zero total weight")
-    return WilsonResult(lhs_exact=lhs_exact, rhs=_class_sum(classes[flags], W) / rho_total)
+    sums = wilson_class_sums(params, X, gamma, max_states)
+    return WilsonResult(lhs_exact=wilson_expectation_exact(sums, params.q),
+                        rhs=_rho_vgamma(params, X, gamma, max_states))
 
 
 # ---------------------------------------------------------------------------
@@ -532,54 +557,3 @@ def ghost_vertex_check(params: ModelParams, n_vertices: int,
                 if w != wp:
                     return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Reference distributions and conditionals used by verification suites
-# ---------------------------------------------------------------------------
-
-def bernoulli_bits_dist(n: int, p: Fraction) -> Dist:
-    """Independent open/closed cells: weight p^|bits| (1-p)^(n-|bits|)."""
-    p = Fraction(p)
-    weights = {}
-    for bits in range(1 << n):
-        c = bits.bit_count()
-        w = p ** c * (1 - p) ** (n - c)
-        if w:
-            weights[bits] = w
-    return Dist.from_weights(weights)
-
-
-def prcm_dist(X, j: int, q: int, p: Fraction,
-              max_states: int = DEFAULT_STATE_GUARD) -> Dist:
-    """The j-dimensional plaquette random cluster model on X.
-
-    Weight p^|P| (1-p)^(n-|P|) * |H^(j-1)(P; Z_q)|.
-    """
-    n = X.num_cells(j)
-    _guard(1 << n, max_states)
-    return Dist.from_weights({
-        bits: w * Fraction(q) ** homology.betti(PercSubcomplex(X, j, bits), j - 1, q)
-        for bits, w in bernoulli_bits_dist(n, p).entries.items()})
-
-
-def one_point_conditional(params: ModelParams, X, bits2: int, bits1: int,
-                          dim_offset: int, cell: int) -> Fraction:
-    """P(cell open | everything else) under rho/rho-hat from exact weights.
-
-    dim_offset 0 conditions an i-cell of P1, 1 an (i+1)-cell of P2.
-    """
-    i = params.i
-    if dim_offset == 0:
-        on = PercSubcomplex(X, i, bits1 | (1 << cell))
-        off = PercSubcomplex(X, i, bits1 & ~(1 << cell))
-        P2 = PercSubcomplex(X, i + 1, bits2)
-        w_on = cpp_weight(P2, on, params, X)
-        w_off = cpp_weight(P2, off, params, X)
-    else:
-        on = PercSubcomplex(X, i + 1, bits2 | (1 << cell))
-        off = PercSubcomplex(X, i + 1, bits2 & ~(1 << cell))
-        P1 = PercSubcomplex(X, i, bits1)
-        w_on = cpp_weight(on, P1, params, X)
-        w_off = cpp_weight(off, P1, params, X)
-    return w_on / (w_on + w_off)

@@ -21,6 +21,7 @@ from cpp_lab.complexes import (Chain, PercSubcomplex, boundary_chain,
 from cpp_lab.observables import (perimeter, rect_loop, wilson_observable,
                                  write_mf_csv)
 from dense_reference import cocycle_basis
+from measures_reference import bernoulli_bits_dist, one_point_conditional, prcm_dist
 
 SQUARE = build_box(2, [1, 1])
 BOX22 = build_box(2, [2, 2])
@@ -154,7 +155,7 @@ def test_criterion_06_one_point_conditionals():
         bits2, bits1 = rnd.getrandbits(4), rnd.getrandbits(12)
         if trial % 2 == 0:
             cell = rnd.randrange(12)
-            cond = M.one_point_conditional(params, BOX22, bits2, bits1, 0, cell)
+            cond = one_point_conditional(params, BOX22, bits2, bits1, 0, cell)
             p = params.p1
             base = H.rel_betti(H.RelPair(PercSubcomplex(BOX22, 2, bits2),
                                          PercSubcomplex(BOX22, 1, bits1 & ~(1 << cell))), 1, 2)
@@ -162,7 +163,7 @@ def test_criterion_06_one_point_conditionals():
                                           PercSubcomplex(BOX22, 1, bits1 | (1 << cell))), 1, 2)
         else:
             cell = rnd.randrange(4)
-            cond = M.one_point_conditional(params, BOX22, bits2, bits1, 1, cell)
+            cond = one_point_conditional(params, BOX22, bits2, bits1, 1, cell)
             p = params.p2
             base = H.rel_betti(H.RelPair(PercSubcomplex(BOX22, 2, bits2 & ~(1 << cell)),
                                          PercSubcomplex(BOX22, 1, bits1)), 1, 2)
@@ -182,17 +183,17 @@ def test_criterion_07_special_case_marginals():
         for q in (2, 3):
             p = M.ModelParams(q=q, i=1, k2=Fraction(3, 2), k1=0)
             if M.enumerate_rho(p, X).marginal(lambda k: k[0]).max_discrepancy(
-                    M.prcm_dist(X, 2, q, p.p2)) != 0:
+                    prcm_dist(X, 2, q, p.p2)) != 0:
                 failures.append(f"k1=0 {label} q={q}")
             p = M.ModelParams(q=q, i=1, k2=0, k1=Fraction(2, 3))
             pv = p.p1
             pstar = pv / (q - pv * q + pv)
             if M.enumerate_rho(p, X).marginal(lambda k: k[1]).max_discrepancy(
-                    M.bernoulli_bits_dist(X.num_cells(1), pstar)) != 0:
+                    bernoulli_bits_dist(X.num_cells(1), pstar)) != 0:
                 failures.append(f"p2=0 {label} q={q}")
         p = M.ModelParams.from_p(2, 1, Fraction(2, 5), 1)
         if M.enumerate_rho(p, X).marginal(lambda k: k[0]).max_discrepancy(
-                M.bernoulli_bits_dist(X.num_cells(2), Fraction(2, 5))) != 0:
+                bernoulli_bits_dist(X.num_cells(2), Fraction(2, 5))) != 0:
             failures.append(f"p1=1 {label}")
     report(7, "limiting special cases of the pair measure", not failures,
            f"failures: {failures or 'none'}")

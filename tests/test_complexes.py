@@ -121,10 +121,20 @@ def test_equal_complexes_share_no_cached_object():
 def test_exact_tables_live_in_the_single_cache():
     X = build_box(2, [1, 1])
     params = measures.ModelParams(q=2, i=1, k2=1, k1=1)
-    measures.exact_wilson(params, X, boundary_chain(X, X.cells(2)[0], 2))
+    gamma = boundary_chain(X, X.cells(2)[0], 2)
+    measures.exact_wilson(params, X, gamma)
     assert [name for name in vars(X) if name.endswith("_cache")] == []
     assert ("pair_betti", 1, 2) in X.cache
     assert any(key[0] == "vgamma" for key in X.cache)
+    # the class counts are small dicts of Python ints, and the two state
+    # tables stay the only per-state arrays
+    for key in (("pair_counts", 1, 2), ("vgamma_counts", 1, 2, gamma.coeffs)):
+        assert all(type(n) is int for n in X.cache[key].values())
+    states = 1 << (X.num_cells(1) + X.num_cells(2))
+    per_state = [key for key, value in X.cache.items()
+                 for v in (value if isinstance(value, (tuple, list)) else (value,))
+                 if isinstance(v, np.ndarray) and v.size == states]
+    assert sorted(per_state, key=str) == [("pair_betti", 1, 2), ("vgamma", 1, 2, gamma.coeffs)]
 
 
 def test_cell_id_round_trip():

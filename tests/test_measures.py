@@ -1,4 +1,5 @@
 """Exact weights, enumeration oracles, Wilson identity, special cases."""
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from cpp_lab.errors import (DegenerateParameter, DimensionMismatch, TooLarge,
                             ValidationError)
 from cpp_lab.homology import RelPair, cocycle_system, v_gamma
 from cpp_lab.observables import rect_loop
+from measures_reference import bernoulli_bits_dist, one_point_conditional, prcm_dist
 from test_homology import triangle_and_square_complex
 
 SQUARE = build_box(2, [1, 1])
@@ -231,20 +233,25 @@ WILSON_CASES = {
 }
 
 
+def _reference_rho_v(rho, X, p, gamma, max_states=M.DEFAULT_STATE_GUARD):
+    """rho(V_gamma) from the enumerated pair distribution rho: the weight of
+    the states whose V_gamma flag is set, over the total."""
+    flags = M.vgamma_table(X, p.i, p.q, gamma, max_states)
+    n1 = X.num_cells(p.i)
+    return sum((w for (b2, b1), w in rho.entries.items() if flags[(b2 << n1) | b1]),
+               Fraction(0)) / rho.total
+
+
 @pytest.mark.parametrize("r", ["q", Fraction(5, 2)], ids=["r=q", "r=5/2"])
 @pytest.mark.parametrize("case", list(WILSON_CASES))
 def test_exact_wilson_rhs_is_the_per_state_rho_sum(case, r):
     """rho(V_gamma) as the sum of enumerated pair weights over the states
     whose V_gamma flag is set, divided by the total."""
     X, q, gamma = WILSON_CASES[case]
-    n1 = X.num_cells(1)
-    flags = M.vgamma_table(X, 1, q, gamma)
     for k2, k1 in itertools.product([0, Fraction(1, 2), 3], repeat=2):
         p = params(q=q, k2=k2, k1=k1, r=q if r == "q" else r)
         rho = M.enumerate_rho(p, X)
-        num = sum((w for (b2, b1), w in rho.entries.items() if flags[(b2 << n1) | b1]),
-                  Fraction(0))
-        assert M.exact_wilson(p, X, gamma).rhs == num / rho.total
+        assert M.exact_wilson(p, X, gamma).rhs == _reference_rho_v(rho, X, p, gamma)
 
 
 def test_exact_wilson_zero_pair_total_is_a_validation_error():
@@ -291,6 +298,104 @@ def test_wilson_class_sums_agree_off_zero_and_the_identity_is_exact(case):
     assert isinstance(res.lhs_exact, Fraction) and res.lhs_exact == res.rhs
 
 
+# at most 2^16 cochains or pair states per case: the 2x2 box at q = 2, i = 1
+# is the largest case admitted
+PAIR_GUARD = 1 << 16
+# the projective plane: one cell per dimension, D attached along e twice, so
+# b_1 and V_gamma differ between q = 2 and odd q
+RP2 = ExplicitComplex([["v"], ["e"], ["D"]], {"e": [("v", 1), ("v", -1)],
+                                              "D": [("e", 1), ("e", 1)]})
+PAIR_COMPLEXES = {"square": SQUARE, "box12": BOX12, "box22": BOX22, "torus2": TORUS2,
+                  "torus3": build_torus(2, 3), "rp2": RP2}
+_k_or_inf = st.one_of(st.none(), _ratios)  # None is k = infinity, p = 1
+_aux_r = st.one_of(st.none(), st.fractions(min_value=Fraction(1, 6), max_value=4,
+                                           max_denominator=6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(PAIR_COMPLEXES)), st.sampled_from([2, 3, 5]),
+       st.sampled_from([0, 1]), st.lists(st.tuples(_k_or_inf, _k_or_inf, _aux_r),
+                                         min_size=1, max_size=3))
+@example("box22", 2, 1, [(Fraction(1, 2), 3, None), (None, Fraction(2, 3), Fraction(5, 2))])
+@example("rp2", 2, 1, [(Fraction(1, 2), 3, None)])
+@example("rp2", 3, 1, [(Fraction(1, 2), 3, None)])
+def test_cached_pair_side_is_the_per_state_rho_sum(name, q, i, points):
+    """Repeated points on one complex, two chains each: every rho(V_gamma)
+    from the cached class counts equals the per-state sum, so the cache
+    keys keep i, q and gamma apart.  At p = 1 the spin side raises, and the
+    pair side is checked on its own."""
+    X = PAIR_COMPLEXES[name]
+    n = X.num_cells(i)
+    gammas = [Chain.build(i, q, {0: 1}), Chain.build(i, q, {0: 1, n - 1: q - 1})]
+    for k2, k1, r in points:
+        p = params(q=q, i=i, k2=k2, k1=k1, r=r)
+        rhs = []
+        try:
+            for gamma in gammas:
+                try:
+                    rhs.append(M.exact_wilson(p, X, gamma, PAIR_GUARD).rhs)
+                except DegenerateParameter:
+                    assert k2 is None or k1 is None
+                    rhs.append(M._rho_vgamma(p, X, gamma, PAIR_GUARD))
+        except TooLarge:
+            return
+        rho = M.enumerate_rho(p, X, PAIR_GUARD)
+        for gamma, value in zip(gammas, rhs):
+            assert value == _reference_rho_v(rho, X, p, gamma, PAIR_GUARD)
+
+
+def test_a_warm_point_walks_no_pair_state(monkeypatch):
+    X = build_box(2, [1, 2])
+    gamma = rect_loop(2, 2, X, 3, width=1).gamma
+    M.exact_wilson(params(q=3, k2=Fraction(1, 2), k1=2), X, gamma)
+
+    def walk(*args):
+        raise AssertionError("a warm point walked the pair states")
+
+    monkeypatch.setattr(M.homology, "cocycle_system", walk)
+    monkeypatch.setattr(M, "_pair_classes", walk)
+    points = [params(q=3, k2=3, k1=Fraction(2, 7)), params(q=3, k2=1, k1=1, r=Fraction(5, 2))]
+    results = [M.exact_wilson(p, X, gamma) for p in points]
+    monkeypatch.undo()
+    assert results[0].lhs_exact == results[0].rhs
+    for p, res in zip(points, results):
+        assert res.rhs == _reference_rho_v(M.enumerate_rho(p, X), X, p, gamma)
+
+
+# sha256 of the lines "lhs_exact|rhs" of seeded points, taken before the pair
+# side was cached: 12 points each on the 2x2 box at q = 2 and the 1x2 box at
+# q = 3 (rect_loop boundaries), then on the 2x2 box one point at r = 5/2 and
+# one at p2 = 1 on the chain e0, where the spin side raises and the line is
+# "DegenerateParameter|rho(V_gamma)"
+EXACT_POINTS_DIGEST = "4a3fa5d749aace4dffe0faec9d10ac5d17451d1ca0dc4e09f8d0cd1fbe8ed45b"
+
+
+def test_exact_wilson_outputs_keep_their_digest():
+    rng = random.Random(2026)
+
+    def k():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9))
+
+    lines = []
+    for widths, q in (([2, 2], 2), ([1, 2], 3)):
+        X = build_box(2, widths)
+        gamma = rect_loop(2, 2, X, q, width=widths[0]).gamma
+        points = [dict(k2=k(), k1=k()) for _ in range(12)]
+        if q == 2:
+            points += [dict(k2=k(), k1=k(), r=Fraction(5, 2)), dict(k2=None, k1=Fraction(2, 3))]
+        for kw in points:
+            p = params(q=q, **kw)
+            if kw["k2"] is None:
+                gamma = Chain.build(1, q, {0: 1})
+                with pytest.raises(DegenerateParameter):
+                    M.exact_wilson(p, X, gamma)
+                lines.append(f"DegenerateParameter|{M._rho_vgamma(p, X, gamma, PAIR_GUARD)}")
+                continue
+            res = M.exact_wilson(p, X, gamma)
+            lines.append(f"{res.lhs_exact}|{res.rhs}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXACT_POINTS_DIGEST
+
+
 def test_one_point_conditionals_take_the_two_stated_values():
     rnd = random.Random(41)
     for r in (None, Fraction(1), Fraction(7, 2)):
@@ -300,11 +405,11 @@ def test_one_point_conditionals_take_the_two_stated_values():
             bits2 = rnd.getrandbits(4)
             bits1 = rnd.getrandbits(12)
             e = rnd.randrange(12)
-            cond = M.one_point_conditional(p, BOX22, bits2, bits1, 0, e)
+            cond = one_point_conditional(p, BOX22, bits2, bits1, 0, e)
             low = p1v / (p.r * (1 - p1v) + p1v)
             assert cond in (p1v, low)
             s = rnd.randrange(4)
-            cond2 = M.one_point_conditional(p, BOX22, bits2, bits1, 1, s)
+            cond2 = one_point_conditional(p, BOX22, bits2, bits1, 1, s)
             low2 = p2v / (p.r * (1 - p2v) + p2v)
             assert cond2 in (p2v, low2)
 
@@ -314,7 +419,7 @@ def test_special_case_k1_zero_matches_prcm():
         for q in (2, 3):
             p = M.ModelParams(q=q, i=1, k2=Fraction(3, 2), k1=0)
             rho2 = M.enumerate_rho(p, X).marginal(lambda k: k[0])
-            prcm = M.prcm_dist(X, 2, q, p.p2)
+            prcm = prcm_dist(X, 2, q, p.p2)
             assert rho2.max_discrepancy(prcm) == 0
 
 
@@ -325,7 +430,7 @@ def test_special_case_p2_zero_gives_bernoulli_pstar():
             rho1 = M.enumerate_rho(p, X).marginal(lambda k: k[1])
             pv = p.p1
             pstar = pv / (q - pv * q + pv)
-            bern = M.bernoulli_bits_dist(X.num_cells(1), pstar)
+            bern = bernoulli_bits_dist(X.num_cells(1), pstar)
             assert rho1.max_discrepancy(bern) == 0
 
 
@@ -333,7 +438,7 @@ def test_special_case_p1_one_gives_bernoulli_p2():
     for X in (SQUARE, BOX22):
         p = M.ModelParams.from_p(2, 1, Fraction(2, 5), 1)
         rho2 = M.enumerate_rho(p, X).marginal(lambda k: k[0])
-        bern = M.bernoulli_bits_dist(X.num_cells(2), Fraction(2, 5))
+        bern = bernoulli_bits_dist(X.num_cells(2), Fraction(2, 5))
         assert rho2.max_discrepancy(bern) == 0
 
 
@@ -343,7 +448,7 @@ def test_special_case_p2_one_gives_lower_prcm():
         for q in (2, 3):
             p = M.ModelParams.from_p(q, 1, 1, Fraction(1, 3))
             rho1 = M.enumerate_rho(p, X).marginal(lambda k: k[1])
-            prcm = M.prcm_dist(X, 1, q, Fraction(1, 3))
+            prcm = prcm_dist(X, 1, q, Fraction(1, 3))
             assert rho1.max_discrepancy(prcm) == 0
 
 
@@ -351,8 +456,8 @@ def test_aux_r_one_is_independent_percolation():
     p = M.ModelParams(q=2, i=1, k2=Fraction(1, 2), k1=Fraction(1, 4), r=1)
     rho = M.enumerate_rho(p, SQUARE)
     joint = {}
-    b2d = M.bernoulli_bits_dist(SQUARE.num_cells(2), p.p2)
-    b1d = M.bernoulli_bits_dist(SQUARE.num_cells(1), p.p1)
+    b2d = bernoulli_bits_dist(SQUARE.num_cells(2), p.p2)
+    b1d = bernoulli_bits_dist(SQUARE.num_cells(1), p.p1)
     for (k2, w2) in b2d.normalized().items():
         for (k1, w1) in b1d.normalized().items():
             joint[(k2, k1)] = w2 * w1
