@@ -1,12 +1,15 @@
-"""Reference distributions and conditionals the tests check the pair
-measure against: independent percolation, the plaquette random cluster
-model and the one-point conditional law, each from its definition."""
+"""Reference distributions and conditionals the tests check the measures
+against: independent percolation, the plaquette random cluster model, the
+one-point conditional law and the Wilson class sums, each from its
+definition."""
 from fractions import Fraction
 
+import numpy as np
+
 from cpp_lab import homology
-from cpp_lab.complexes import PercSubcomplex
+from cpp_lab.complexes import Chain, PercSubcomplex
 from cpp_lab.errors import DEFAULT_STATE_GUARD, TooLarge
-from cpp_lab.measures import Dist, ModelParams, cpp_weight
+from cpp_lab.measures import Dist, ModelParams, cpp_weight, mu_class_data
 
 
 def bernoulli_bits_dist(n: int, p: Fraction) -> Dist:
@@ -55,3 +58,20 @@ def one_point_conditional(params: ModelParams, X, bits2: int, bits1: int,
         w_on = cpp_weight(on, P1, params, X)
         w_off = cpp_weight(off, P1, params, X)
     return w_on / (w_on + w_off)
+
+
+def wilson_class_sums(params: ModelParams, X, gamma: Chain,
+                      max_states: int = DEFAULT_STATE_GUARD) -> list[Fraction]:
+    """A_c = sum of (1+k1)^#{f=0} (1+k2)^#{df=0} over the cochains f with
+    f(gamma) = c, from the full cochain table: one bincount of the classes
+    (z1, z2) per residue c.  Finite k only."""
+    F, z1, z2 = mu_class_data(params, X, max_states)
+    gvals = (F @ gamma.vector(F.shape[1])) % params.q
+    m = X.num_cells(params.i + 1) + 1
+    classes = z1 * m + z2
+    sums = []
+    for c in range(params.q):
+        counts = np.bincount(classes[gvals == c]).tolist()
+        sums.append(sum((n * (1 + params.k1) ** (k // m) * (1 + params.k2) ** (k % m)
+                         for k, n in enumerate(counts) if n), Fraction(0)))
+    return sums

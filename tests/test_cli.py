@@ -27,6 +27,15 @@ def test_wilson_exact_reports_zero_difference(tmp_path, capsys):
     assert manifest["result"]["abs_difference"] == 0
 
 
+def test_wilson_exact_runs_at_p_one(tmp_path, capsys):
+    code = run_cli(["wilson", "--d", "2", "--widths", "2,2", "--q", "2", "--p2", "1",
+                    "--p1", "1/2", "--loop", "2", "--exact"], tmp_path)
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    spin = out[0].removeprefix("E_mu[W] = ")
+    assert out[1] == f"rho(V)  = {spin}" and "|diff|  = 0.000e+00" in out
+
+
 def test_wilson_exact_gamma_file_is_rational_at_q5(tmp_path):
     gamma = tmp_path / "g.json"
     gamma.write_text(json.dumps({"dim": 1, "coeffs": {"0": 1, "3": 1}}))  # e0 + e3

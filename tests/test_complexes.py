@@ -130,10 +130,18 @@ def test_exact_tables_live_in_the_single_cache():
     # tables stay the only per-state arrays
     for key in (("pair_counts", 1, 2), ("vgamma_counts", 1, 2, gamma.coeffs)):
         assert all(type(n) is int for n in X.cache[key].values())
+    # the spin side: one {(z1, z2): count} dict per residue, and no table of
+    # the q^n1 cochains
+    spin_counts = X.cache[("spin_counts", 1, 2, gamma.coeffs)]
+    assert len(spin_counts) == 2
+    assert all(type(n) is int for row in spin_counts for n in row.values())
+    assert sum(n for row in spin_counts for n in row.values()) == 2 ** X.num_cells(1)
     states = 1 << (X.num_cells(1) + X.num_cells(2))
-    per_state = [key for key, value in X.cache.items()
-                 for v in (value if isinstance(value, (tuple, list)) else (value,))
-                 if isinstance(v, np.ndarray) and v.size == states]
+    arrays = [(key, v.shape) for key, value in X.cache.items()
+              for v in (value if isinstance(value, (tuple, list)) else (value,))
+              if isinstance(v, np.ndarray)]
+    assert not [key for key, shape in arrays if shape[:1] == (2 ** X.num_cells(1),)]
+    per_state = [key for key, shape in arrays if shape == (states,)]
     assert sorted(per_state, key=str) == [("pair_betti", 1, 2), ("vgamma", 1, 2, gamma.coeffs)]
 
 

@@ -17,6 +17,7 @@ from cpp_lab.errors import (DegenerateParameter, DimensionMismatch, TooLarge,
 from cpp_lab.homology import RelPair, cocycle_system, v_gamma
 from cpp_lab.observables import rect_loop
 from measures_reference import bernoulli_bits_dist, one_point_conditional, prcm_dist
+from measures_reference import wilson_class_sums as reference_class_sums
 from test_homology import triangle_and_square_complex
 
 SQUARE = build_box(2, [1, 1])
@@ -322,8 +323,7 @@ _aux_r = st.one_of(st.none(), st.fractions(min_value=Fraction(1, 6), max_value=4
 def test_cached_pair_side_is_the_per_state_rho_sum(name, q, i, points):
     """Repeated points on one complex, two chains each: every rho(V_gamma)
     from the cached class counts equals the per-state sum, so the cache
-    keys keep i, q and gamma apart.  At p = 1 the spin side raises, and the
-    pair side is checked on its own."""
+    keys keep i, q and gamma apart."""
     X = PAIR_COMPLEXES[name]
     n = X.num_cells(i)
     gammas = [Chain.build(i, q, {0: 1}), Chain.build(i, q, {0: 1, n - 1: q - 1})]
@@ -332,11 +332,7 @@ def test_cached_pair_side_is_the_per_state_rho_sum(name, q, i, points):
         rhs = []
         try:
             for gamma in gammas:
-                try:
-                    rhs.append(M.exact_wilson(p, X, gamma, PAIR_GUARD).rhs)
-                except DegenerateParameter:
-                    assert k2 is None or k1 is None
-                    rhs.append(M._rho_vgamma(p, X, gamma, PAIR_GUARD))
+                rhs.append(M.exact_wilson(p, X, gamma, PAIR_GUARD).rhs)
         except TooLarge:
             return
         rho = M.enumerate_rho(p, X, PAIR_GUARD)
@@ -362,11 +358,85 @@ def test_a_warm_point_walks_no_pair_state(monkeypatch):
         assert res.rhs == _reference_rho_v(M.enumerate_rho(p, X), X, p, gamma)
 
 
+# at most 2^14 cochains per reference table: the 2x2 box at q = 2, i = 1 is
+# the largest case admitted
+SPIN_GUARD = 1 << 14
+SPIN_COMPLEXES = {"square": SQUARE, "box12": BOX12, "box22": BOX22, "torus2": TORUS2,
+                  "torus3": build_torus(2, 3)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(SPIN_COMPLEXES)),
+       st.lists(st.tuples(_ratios, _ratios), min_size=1, max_size=2))
+@example("box22", [(Fraction(1, 2), 3), (Fraction(7, 3), Fraction(1, 5))])
+def test_cached_spin_side_is_the_cochain_table_sum(name, points):
+    """Repeated points on one complex at q in {2, 3, 5} and i in {0, 1}, two
+    chains each: every A_c from the cached class counts equals the sum over
+    the full cochain table, so the cache keys keep i, q and gamma apart."""
+    X = SPIN_COMPLEXES[name]
+    for q, i in itertools.product([2, 3, 5], [0, 1]):
+        n = X.num_cells(i)
+        gammas = [Chain.build(i, q, {0: 1}), Chain.build(i, q, {0: 1, n - 1: q - 1})]
+        for k2, k1 in points:
+            p = params(q=q, i=i, k2=k2, k1=k1)
+            for gamma in gammas:
+                try:
+                    expected = reference_class_sums(p, X, gamma, SPIN_GUARD)
+                except TooLarge:
+                    break
+                sums = M.wilson_class_sums(p, X, gamma, SPIN_GUARD)
+                assert all(type(a) is Fraction for a in sums)
+                assert sums == expected
+
+
+def test_a_warm_point_walks_no_cochain(monkeypatch):
+    X = build_box(2, [1, 2])
+    gamma = rect_loop(2, 2, X, 3, width=1).gamma
+    M.exact_wilson(params(q=3, k2=Fraction(1, 2), k1=2), X, gamma)
+    points = [params(q=3, k2=3, k1=Fraction(2, 7)), params(q=3, k2=1, k1=1, r=Fraction(5, 2))]
+    expected = [reference_class_sums(p, X, gamma) for p in points]
+
+    def walk(*args):
+        raise AssertionError("a warm point walked the cochains")
+
+    for name in ("mu_class_data", "all_cochains", "_cochain_chunks", "_cochain_digits"):
+        monkeypatch.setattr(M, name, walk)
+    sums = [M.wilson_class_sums(p, X, gamma) for p in points]
+    results = [M.exact_wilson(p, X, gamma) for p in points]
+    at_p_one = M.exact_wilson(M.ModelParams.from_p(3, 1, 1, Fraction(1, 3)), X, gamma)
+    monkeypatch.undo()
+    assert sums == expected
+    assert results[0].lhs_exact == results[0].rhs
+    assert at_p_one.lhs_exact == at_p_one.rhs
+
+
+P_ONE_COMPLEXES = {"square": (SQUARE, lambda q: _plaquette_boundary(SQUARE, q)),
+                   "box12": (BOX12, lambda q: rect_loop(2, 2, BOX12, q, width=1).gamma),
+                   "box22": (BOX22, lambda q: rect_loop(2, 2, BOX22, q).gamma)}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name", list(P_ONE_COMPLEXES))
+def test_wilson_identity_holds_at_p_one(name, q):
+    """At p2 = 1, p1 = 1 or both the spin measure is the k -> infinity limit
+    (only cochains with df = 0, or f = 0, keep weight) and both sides of the
+    identity are defined and equal; enumerate_mu still wants finite k."""
+    X, boundary = P_ONE_COMPLEXES[name]
+    for gamma in (boundary(q), Chain.build(1, q, {0: 1})):
+        for p2, p1 in ((1, Fraction(1, 2)), (Fraction(2, 3), 1), (1, 1)):
+            res = M.exact_wilson(M.ModelParams.from_p(q, 1, p2, p1), X, gamma)
+            assert res.lhs_exact == res.rhs
+        assert res.lhs_exact == 1  # p1 = 1: f = 0 on every edge
+    with pytest.raises(DegenerateParameter):
+        M.enumerate_mu(M.ModelParams.from_p(q, 1, 1, Fraction(1, 2)), SQUARE)
+
+
 # sha256 of the lines "lhs_exact|rhs" of seeded points, taken before the pair
 # side was cached: 12 points each on the 2x2 box at q = 2 and the 1x2 box at
 # q = 3 (rect_loop boundaries), then on the 2x2 box one point at r = 5/2 and
-# one at p2 = 1 on the chain e0, where the spin side raises and the line is
-# "DegenerateParameter|rho(V_gamma)"
+# one at p2 = 1 on the chain e0.  The spin side raised at p = 1 then, so that
+# line is "DegenerateParameter|rho(V_gamma)"; the spin side now equals
+# rho(V_gamma) there and the line keeps its text.
 EXACT_POINTS_DIGEST = "4a3fa5d749aace4dffe0faec9d10ac5d17451d1ca0dc4e09f8d0cd1fbe8ed45b"
 
 
@@ -387,9 +457,9 @@ def test_exact_wilson_outputs_keep_their_digest():
             p = params(q=q, **kw)
             if kw["k2"] is None:
                 gamma = Chain.build(1, q, {0: 1})
-                with pytest.raises(DegenerateParameter):
-                    M.exact_wilson(p, X, gamma)
-                lines.append(f"DegenerateParameter|{M._rho_vgamma(p, X, gamma, PAIR_GUARD)}")
+                res = M.exact_wilson(p, X, gamma)
+                assert res.lhs_exact == res.rhs
+                lines.append(f"DegenerateParameter|{res.rhs}")
                 continue
             res = M.exact_wilson(p, X, gamma)
             lines.append(f"{res.lhs_exact}|{res.rhs}")
