@@ -6,13 +6,12 @@
 
 Each arm is NAME=SRC[:ROUTE], where SRC is a `src` directory to import
 `cpp_lab` from and ROUTE forces one route of `cocycle_system` on every size:
-`gauge`, `elimination` (with the redundant-row filter where it applies)
-or `nofilter` (elimination of every open row).  Without ROUTE the code
-decides as it ships.  The pairs are the (P2, P1) states of sweeps 6-25 of
-one seeded chain, drawn once in this process and handed to every arm, so
-all arms time the same systems.  Each round runs every arm once, in a
-fresh process each, in alternating order; an arm's result for a round is
-the median over 3 passes of the 20 pairs.  Prints one JSON object.
+`gauge` or `elimination`.  Without ROUTE the code decides as it ships.
+The pairs are the (P2, P1) states of sweeps 6-25 of one seeded chain,
+drawn once in this process and handed to every arm, so all arms time the
+same systems.  Each round runs every arm once, in a fresh process each,
+in alternating order; an arm's result for a round is the median over 3
+passes of the 20 pairs.  Prints one JSON object.
 """
 from __future__ import annotations
 
@@ -41,10 +40,8 @@ def child(src: str, route: str, pairs_file: str) -> None:
         side, q, pairs = pickle.load(fh)
     if route == "gauge":
         homology._GAUGE_MIN_EDGES = 0
-    elif route in ("elimination", "nofilter"):
+    elif route == "elimination":
         homology._GAUGE_MIN_EDGES = float("inf")
-        if route == "nofilter":
-            homology._MIN_RELATED = float("inf")
     X = build_box(3, [side] * 3)
     rng = np.random.default_rng(0)
     build, draw, rows = [], [], []

@@ -19,6 +19,6 @@ from .observables import (Estimate, LoopFamily, mf_ratio, perimeter,
                           rect_loop)
 from .sampler import (ChainState, RunConfig, mf_ratio_scan,
                       resample_percolation, resample_spins, run_chain,
-                      sample_general_gauge, sweep)
+                      sweep)
 from .duality import (dual_params, dual_state, verify_duality_exact,
                       verify_duality_mc)

@@ -254,10 +254,19 @@ def bit_reverse(bits: int, n: int) -> int:
     return int.from_bytes(raw, "big") >> (8 * width - n)
 
 
+# From this bit length up `bit_ids` unpacks with numpy.  The two cross near
+# 96 bits; at 756 bits numpy takes 7-12 us against 28 us for the string
+# walk, at 4 bits 2.8 against 0.5 us (timeit, Python 3.11, numpy 2.4).
+_BIT_IDS_NUMPY = 128
+
+
 def bit_ids(bits: int) -> list[int]:
     """Indices of the set bits of an int bitset in increasing order, in
     time linear in its bit length."""
-    return [k for k, c in enumerate(reversed(bin(bits))) if c == "1"]
+    if bits.bit_length() < _BIT_IDS_NUMPY:
+        return [k for k, c in enumerate(reversed(bin(bits))) if c == "1"]
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
 
 def bits_to_vector(bits: int, n: int) -> np.ndarray:

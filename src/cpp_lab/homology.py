@@ -5,12 +5,9 @@ cochain group below degree i vanishes, so H^i(P2, P1) coincides with the
 space of relative cocycles: cochains vanishing on the open cells of P1
 whose coboundary vanishes on the open cells of P2.  `cocycle_system`
 eliminates bitsliced rows for q in {2, 3} (`gfq.gf2_ref_bits`,
-`gfq.gf3_ref_bits`) and a dense coboundary block for q >= 5 (`gfq.rref`).
-When at least half the (i+1)-cells are open it first drops one row per
-cluster K of (i+2)-cells that the closed (i+1)-cells join and that no
-closed cell joins to the outside, which boundary(boundary K) = 0 proves
-redundant (`_relations`).  For i = 1 and q in {2, 3} on complexes with at
-least `_GAUGE_MIN_EDGES` edges it gauge-fixes the system instead
+`gfq.gf3_ref_bits`) and a dense coboundary block for q >= 5 (`gfq.rref`),
+one row per open (i+1)-cell.  For i = 1 and q in {2, 3} on complexes with
+at least `_GAUGE_MIN_EDGES` edges it gauge-fixes the system instead
 (`_gauge_system`): a spanning forest of the P1 clusters takes the
 coboundaries dg of the 0-cochains constant on them, a peel forces most
 other edges to 0, and only the rows left are eliminated.  Every Betti
@@ -91,81 +88,6 @@ def _pack_rows(coeffs: np.ndarray, shifts: np.ndarray, q: int) -> list:
     return planes[0] if q == 2 else list(zip(*planes))
 
 
-class _Relations(NamedTuple):
-    """The relations boundary(boundary K) = 0 among the (i+1)-cells, for
-    clusters K of (i+2)-cells.  The columns of `joins` are pairs of
-    (i+2)-cells, node n_(i+2) standing for the outside, and `via` holds the
-    (i+1)-cell whose closing makes each join.  `labels` starts each cell on
-    its own id, or on the outside when the boundary of its boundary does
-    not vanish; `targets` holds t(c), or n_(i+1) where c has none, and
-    `related` counts the cells that have one."""
-
-    joins: np.ndarray
-    via: np.ndarray
-    labels: np.ndarray
-    targets: np.ndarray
-    related: int
-
-
-def _relations(X, i: int) -> _Relations | None:
-    """The relation table of degree i, cached in `X.cache`; None when X has
-    no (i+2)-cells.
-
-    A closed (i+1)-cell with exactly two distinct cofaces, in whose
-    boundaries it appears once with signs that cancel, joins them; any other
-    closed cell joins each of its cofaces to the outside.  Let K be a
-    cluster of (i+2)-cells that the joins of the closed cells connect but
-    not to the outside: the closed cells cancel in the boundary of K, so
-    boundary(boundary K) = 0 relates rows of open cells only.  A face s of
-    c qualifies as t(c) when c is the lowest-id coface of s, s appears once
-    in the boundary of c (coefficient +-1) and the boundary of the boundary
-    of c vanishes.  Then t(max K) appears in the boundary of K with
-    coefficient +-1, and every other t(c) there has c < max K: dropping
-    t(max K) for every such K and solving the relations in increasing
-    max K shows that the kept rows span the same space.
-    """
-    if not X.num_cells(i + 2):
-        return None
-    key = ("relations", i)
-    if key not in X.cache:
-        faces, signs = X.incidence(i + 2)
-        n_c, n_s = len(faces), X.num_cells(i + 1)
-        cells = np.broadcast_to(np.arange(n_c)[:, None], faces.shape)
-        real = signs != 0  # the zero-sign padding of explicit complexes
-        # boundary(boundary c) = 0: the coefficients on each i-cell sum to 0
-        sub_faces, sub_signs = X.incidence(i + 1)
-        keys = (cells[:, :, None] * X.num_cells(i) + sub_faces[faces]).ravel()
-        coeffs = (signs[:, :, None] * sub_signs[faces]).ravel()
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        sums = np.add.reduceat(coeffs[order], starts)
-        exact = np.ones(n_c, dtype=bool)
-        exact[keys[starts[sums != 0]] // X.num_cells(i)] = False
-        same = (faces[:, :, None] == faces[:, None, :]) & real[:, None, :]
-        once = real & (same.sum(axis=2) == 1) & (np.abs(signs) == 1)
-        lowest = np.full(n_s, n_c)
-        np.minimum.at(lowest, faces[real], cells[real])
-        ok = once & (lowest[faces] == cells) & exact[:, None]
-        # the lowest-id candidate, whose row enters the elimination last: on
-        # a 12^3 box at (0.9, 0.1) it saves 53% of the reduction steps, the
-        # first or the highest candidate 20%
-        targets = np.where(ok, faces, n_s).min(axis=1)
-        # the coface entries of every (i+1)-cell, grouped by cell
-        order = np.argsort(faces[real], kind="stable")
-        face, coface, sign = faces[real][order], cells[real][order], signs[real][order]
-        first = np.flatnonzero((np.diff(face, prepend=-1) != 0) & (np.bincount(face)[face] == 2))
-        paired = first[(coface[first] != coface[first + 1]) & (sign[first] + sign[first + 1] == 0)]
-        alone = np.ones(len(face), dtype=bool)
-        alone[paired] = alone[paired + 1] = False
-        joins = np.stack([np.concatenate([coface[paired], coface[alone]]),
-                          np.concatenate([coface[paired + 1], np.full(alone.sum(), n_c)])])
-        labels = np.where(exact, np.arange(n_c), n_c)
-        X.cache[key] = _Relations(joins, np.concatenate([face[paired], face[alone]]),
-                                  np.append(labels, n_c), targets, int((targets < n_s).sum()))
-    return X.cache[key]
-
-
 def _join(labels: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Union the nodes low[k] and high[k] for every k, from `labels` (each
     node's label, every label a root: labels[labels] = labels).  Hooks the
@@ -184,38 +106,6 @@ def _join(labels: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
             if np.array_equal(jumped, labels):
                 break
             labels = jumped
-
-
-# The row filter is a fixed cost of a few numpy calls per elimination; on a
-# complex with fewer related cells it costs more than it saves: without this
-# gate acceptance 04's period-2 3-torus (7 cells) ran its MC part 15% and
-# its exact part 8% slower (BENCH_redundant-rows.json, "gates").
-_MIN_RELATED = 32
-
-
-def _drop_redundant_rows(X, i: int, bits2: int) -> list[int]:
-    """The ids of the open (i+1)-cells of bits2 in decreasing order, without
-    t(max K) for every cluster K that no join connects to the outside (see
-    `_relations`): the kept rows span the same space.
-
-    Only pairs with at least half the (i+1)-cells open are filtered; below
-    that the ids are listed as they are, since on 12^3 at (0.5, 0.9) and
-    6^3 at (0.5, 0.5) dropping the rows of all-open cells cost more than it
-    saved (BENCH_enclosed-clusters.json, "gates")."""
-    n_s = X.num_cells(i + 1)
-    raw = bits2.to_bytes((n_s + 7) // 8, "little")
-    open2 = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    relations = _relations(X, i) if 2 * bits2.bit_count() >= n_s else None
-    if relations is not None:
-        closed = open2[relations.via] == 0
-        low, high = (cells[closed] for cells in relations.joins)
-        # each cluster ends labelled by its highest cell, and one that
-        # reaches the outside by n_(i+2)
-        labels = _join(relations.labels.copy(), low, high)
-        roots = np.flatnonzero(labels[:-1] == np.arange(len(labels) - 1))
-        targets = relations.targets[roots]
-        open2[targets[targets < n_s]] = 0
-    return np.flatnonzero(open2)[::-1].tolist()
 
 
 # The gauge path of `cocycle_system` (i = 1, q in {2, 3}) on complexes with
@@ -418,10 +308,7 @@ class CocycleSystem:
     closed i-cells (those not open in P1) and eliminated over GF(q).
 
     Open P1 cells are pinned to 0, so the kernel of these rows, extended by
-    zero, is Z^i(P2, P1).  Only rows that span the same space as all of
-    them are eliminated (see `_relations`), so the pivot set and every
-    answer below are those of the full row set; the echelon rows
-    themselves may differ.  For q in {2, 3} `closed` is a bitmask and
+    zero, is Z^i(P2, P1).  For q in {2, 3} `closed` is a bitmask and
     `pivots` the bitsliced echelon rows (a GF(2) mask, or GF(3) planes
     (ones, twos) with pivot coefficient 1), both indexing i-cell k at bit
     n_i-1-k: the pivot is a row's highest bit, so under this mapping it is
@@ -508,14 +395,10 @@ def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
     spin draw and the observables and weights read on the same pair share
     one elimination; callers must not mutate the result.  On a miss the old
     system is released before the new one is built, so two systems are
-    never alive at once.  The rows of `bits2` that the relation table of
-    degree i proves redundant are dropped before the elimination when at
-    least half the (i+1)-cells are open (`_drop_redundant_rows`); the key
-    keeps the caller's `bits2`.  On complexes with few related (i+2)-cells
-    the open ids are listed without numpy.  For i = 1 and q in {2, 3} on
-    complexes with at least `_GAUGE_MIN_EDGES` edges that fit it, the
-    system is gauge-fixed instead (`_gauge_system`): neither the face masks
-    nor the relation table are built, and the seeded draw is not the
+    never alive at once.  The row of every open (i+1)-cell is eliminated.
+    For i = 1 and q in {2, 3} on complexes with at least `_GAUGE_MIN_EDGES`
+    edges that fit it, the system is gauge-fixed instead (`_gauge_system`):
+    the face masks are not built, and the seeded draw is not the
     elimination path's.
     """
     key = (i, q, bits2, bits1)
@@ -530,24 +413,21 @@ def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
             X.cache["cocycle_system"] = (key, system)
             return system
     n_i = X.num_cells(i)
-    if X.num_cells(i + 2) >= _MIN_RELATED and _relations(X, i).related >= _MIN_RELATED:
-        open_ids = _drop_redundant_rows(X, i, bits2)
-    else:
-        open_ids = gfq.bit_ids(bits2)[::-1]
+    open_ids = gfq.bit_ids(bits2)
     if q in (2, 3):
         closed = ((1 << n_i) - 1) & ~gfq.bit_reverse(bits1, n_i)
         masks = _face_masks(X, i + 1, q) if bits2 else []
         # decreasing ids: the row space, and so the pivot set, is unchanged,
         # and the elimination fills in less
         if q == 2:
-            pivots = gfq.gf2_ref_bits(masks[s] & closed for s in open_ids)
+            pivots = gfq.gf2_ref_bits(masks[s] & closed for s in reversed(open_ids))
         else:
             pivots = gfq.gf3_ref_bits((masks[s][0] & closed, masks[s][1] & closed)
-                                      for s in open_ids)
+                                      for s in reversed(open_ids))
         system = CocycleSystem(q, n_i, closed, closed.bit_count() - len(pivots), pivots=pivots)
     else:
         closed = np.flatnonzero(gfq.bits_to_vector(bits1, n_i) == 0)
-        red = gfq.rref(X.coboundary_matrix(i, open_ids[::-1], closed), q)
+        red = gfq.rref(X.coboundary_matrix(i, open_ids, closed), q)
         system = CocycleSystem(q, n_i, closed, len(closed) - red.rank, red=red)
     X.cache["cocycle_system"] = (key, system)
     return system

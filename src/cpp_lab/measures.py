@@ -166,14 +166,6 @@ def kappa_weight(f, P2: PercSubcomplex, P1: PercSubcomplex, params: ModelParams,
     return _coupling_weight(f, 0, P2, P1, params, X)
 
 
-def kappa_gauge_weight(f, g, P2: PercSubcomplex, P1: PercSubcomplex,
-                       params: ModelParams, X) -> Fraction:
-    """General-gauge coupling weight: the edge constraint is f = dg."""
-    q, i = params.q, params.i
-    dg = delta_cochain(np.asarray(g, dtype=np.int64) % q, X, i - 1, q) if i >= 1 else 0
-    return _coupling_weight(f, dg, P2, P1, params, X)
-
-
 # ---------------------------------------------------------------------------
 # Exact distributions
 # ---------------------------------------------------------------------------

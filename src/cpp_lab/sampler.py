@@ -173,23 +173,6 @@ def write_series_csv(path, result: RunResult) -> None:
             writer.writerow([row[0], row[1], row[2], repr(row[3])])
 
 
-def sample_general_gauge(P2: PercSubcomplex, P1: PercSubcomplex, q: int, rng
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (f, g) given the pair in the general-gauge coupling.
-
-    g is uniform on the (i-1)-cochains; f = h + dg with h a uniform
-    relative cocycle.
-    """
-    X = P2.complex
-    i = P1.dim
-    if i < 1:
-        raise ValidationError("general gauge needs i >= 1")
-    g = rng.integers(0, q, size=X.num_cells(i - 1)).astype(np.int64)
-    h = resample_spins(P2, P1, q, rng)
-    f = (h + delta_cochain(g, X, i - 1, q)) % q
-    return f, g
-
-
 def mf_ratio_scan(X, cfg: RunConfig, ns: list[int], route: str = "wilson") -> list[dict]:
     """Finite-n Marcu-Fredenhagen ratios, one chain shared by all loops.
 

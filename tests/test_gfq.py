@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cpp_lab import gfq
 from cpp_lab.complexes import two_squares_complex
@@ -123,6 +125,25 @@ def test_bit_reverse_moves_bit_k_to_n_minus_1_minus_k(n):
         assert gfq.bit_reverse(rev, n) == bits
         assert gfq.bit_ids(rev) == sorted(n - 1 - k for k in gfq.bit_ids(bits))
         assert gfq.bit_reverse(bits | 1 << n, n) == rev
+
+
+def bitsets_of_length(n: int):
+    """Random bitsets whose bit length is exactly n."""
+    top = 1 << n >> 1
+    return st.integers(0, max(top - 1, 0)).map(lambda low: low | top)
+
+
+# the lengths around the switch to numpy, and a 12^3 box's plaquettes
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from([0, 1, 127, 128, 129, 5616]).flatmap(bitsets_of_length),
+                 st.integers(0, (1 << 6000) - 1)))
+@example((1 << 127) - 1)
+@example((1 << 128) - 1)
+@example((1 << 129) - 1)
+def test_bit_ids_match_the_string_walk(bits):
+    ids = gfq.bit_ids(bits)
+    assert ids == [k for k, c in enumerate(reversed(bin(bits))) if c == "1"]
+    assert all(type(k) is int for k in ids)
 
 
 def _reversed_rows(m):

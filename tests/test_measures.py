@@ -16,6 +16,7 @@ from cpp_lab.errors import (DegenerateParameter, DimensionMismatch, TooLarge,
                             ValidationError)
 from cpp_lab.homology import RelPair, cocycle_system, v_gamma
 from cpp_lab.observables import rect_loop
+from helpers import kappa_gauge_weight
 from measures_reference import bernoulli_bits_dist, one_point_conditional, prcm_dist
 from measures_reference import wilson_class_sums as reference_class_sums
 from test_homology import triangle_and_square_complex
@@ -114,7 +115,7 @@ def test_weights_match_the_per_cell_rule_at_boundary_parameters(q):
                 for s in range(n2):
                     ref *= _site_rule(k2, P2.has(s), df[s] == 0)
                 assert M.kappa_weight(fv, P2, P1, p, X) == ref
-                assert M.kappa_gauge_weight(fv, g0, P2, P1, p, X) == ref
+                assert kappa_gauge_weight(fv, g0, P2, P1, p, X) == ref
 
 
 def test_enumerate_mu_single_square_counts():

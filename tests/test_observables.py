@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from cpp_lab.complexes import Chain, PercSubcomplex, build_box, build_torus, chain_boundary
+from cpp_lab.complexes import Chain, PercSubcomplex, build_box, build_torus
 from cpp_lab.errors import DegenerateDenominator, DoesNotFit
 from cpp_lab.observables import (Estimate, mf_ratio, open_count_observable, perimeter,
                                  rect_loop, wilson_observable)
+from helpers import chain_boundary
 
 
 def test_rect_loop_shape_and_halves():

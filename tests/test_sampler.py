@@ -18,6 +18,7 @@ from cpp_lab.homology import RelPair, v_gamma
 from cpp_lab.observables import (open_count_observable, rect_loop, vgamma_observable,
                                  wilson_observable)
 from dense_reference import cocycle_basis
+from helpers import kappa_gauge_weight, sample_general_gauge
 
 SQUARE = build_box(2, [1, 1])
 
@@ -250,7 +251,7 @@ def test_general_gauge_full_pair_forces_f_equal_dg():
     P2 = PercSubcomplex.full(X, 2)
     P1 = PercSubcomplex.full(X, 1)
     for q in (2, 3):
-        f, g = S.sample_general_gauge(P2, P1, q, rng)
+        f, g = sample_general_gauge(P2, P1, q, rng)
         dg = M.delta_cochain(g, X, 0, q)
         assert np.array_equal(f, dg % q)
 
@@ -264,12 +265,12 @@ def test_general_gauge_weight_is_gauge_invariant():
     for _ in range(20):
         P2 = PercSubcomplex(X, 2, rnd.getrandbits(1))
         P1 = PercSubcomplex(X, 1, rnd.getrandbits(4))
-        f, g = S.sample_general_gauge(P2, P1, q, rng)
+        f, g = sample_general_gauge(P2, P1, q, rng)
         h = rng.integers(0, q, size=X.num_cells(0))
         f2 = (f + M.delta_cochain(h, X, 0, q)) % q
         g2 = (g + h) % q
-        w1 = M.kappa_gauge_weight(f, g, P2, P1, p, X)
-        w2 = M.kappa_gauge_weight(f2, g2, P2, P1, p, X)
+        w1 = kappa_gauge_weight(f, g, P2, P1, p, X)
+        w2 = kappa_gauge_weight(f2, g2, P2, P1, p, X)
         assert w1 == w2 > 0
 
 
@@ -281,7 +282,7 @@ def test_general_gauge_f_minus_dg_matches_cocycle_draw():
     n = 4000
     counts = {}
     for _ in range(n):
-        f, g = S.sample_general_gauge(P2, P1, 2, rng)
+        f, g = sample_general_gauge(P2, P1, 2, rng)
         h = (f - M.delta_cochain(g, SQUARE, 0, 2)) % 2
         counts[tuple(h)] = counts.get(tuple(h), 0) + 1
     assert len(counts) == 8
