@@ -11,7 +11,13 @@ The pairs are the (P2, P1) states of sweeps 6-25 of one seeded chain,
 drawn once in this process and handed to every arm, so all arms time the
 same systems.  Each round runs every arm once, in a fresh process each,
 in alternating order; an arm's result for a round is the median over 3
-passes of the 20 pairs.  Prints one JSON object.
+passes of the 20 pairs.  Against the first arm, every other arm gets
+`ratio` (of the medians over rounds), `rounds_faster` and `paired_ratio`
+(the median over rounds of the ratio within a round).  Besides the times
+it reports `rank_mean`, the mean rank of the eliminated rows, and on the
+gauge path `width_mean`, the mean number of unknown edges W left after
+the peel (null on the elimination), so that a weaker peel shows.  Prints
+one JSON object.
 """
 from __future__ import annotations
 
@@ -44,7 +50,7 @@ def child(src: str, route: str, pairs_file: str) -> None:
         homology._GAUGE_MIN_EDGES = float("inf")
     X = build_box(3, [side] * 3)
     rng = np.random.default_rng(0)
-    build, draw, rows = [], [], []
+    build, draw, rows, width = [], [], [], []
     for _ in range(3):
         for bits2, bits1 in pairs:
             X.cache.pop("cocycle_system", None)
@@ -56,11 +62,14 @@ def child(src: str, route: str, pairs_file: str) -> None:
             build.append(t1 - t0)
             draw.append(t2 - t1)
             rows.append(len(system.pivots) if system.pivots is not None else system.red.rank)
+            if system.gauge is not None:
+                width.append(system.n_i)
     total = [a + b for a, b in zip(build, draw)]
     print(json.dumps({"ms": 1e3 * statistics.median(total),
                       "build_ms": 1e3 * statistics.median(build),
                       "draw_ms": 1e3 * statistics.median(draw),
-                      "rank_mean": statistics.mean(rows)}))
+                      "rank_mean": statistics.mean(rows),
+                      "width_mean": statistics.mean(width) if width else None}))
 
 
 def make_pairs(side: int, q: int, p2: float, p1: float, seed: int) -> list[tuple[int, int]]:
@@ -113,10 +122,16 @@ def main(argv=None) -> None:
     for name, runs in results.items():
         summary[name] = {key: statistics.median(run[key] for run in runs)
                          for key in ("ms", "build_ms", "draw_ms", "rank_mean")}
+        # the same pairs in every round, so the same width
+        summary[name]["width_mean"] = runs[0]["width_mean"]
         if name != first:
             summary[name]["ratio"] = summary[name]["ms"] / summary[first]["ms"]
             summary[name]["rounds_faster"] = sum(
                 a["ms"] < b["ms"] for a, b in zip(runs, results[first]))
+            # the machine's speed drifts between rounds; a round's arms run
+            # back to back, so their ratio drifts less than their times
+            summary[name]["paired_ratio"] = statistics.median(
+                a["ms"] / b["ms"] for a, b in zip(runs, results[first]))
     print(json.dumps({"side": args.side, "q": args.q, "point": [p2, p1], "seed": args.seed,
                       "rounds": args.rounds,
                       "arms": {name: ":".join(arm) for name, arm in arms.items()},

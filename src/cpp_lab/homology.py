@@ -6,11 +6,12 @@ space of relative cocycles: cochains vanishing on the open cells of P1
 whose coboundary vanishes on the open cells of P2.  `cocycle_system`
 eliminates bitsliced rows for q in {2, 3} (`gfq.gf2_ref_bits`,
 `gfq.gf3_ref_bits`) and a dense coboundary block for q >= 5 (`gfq.rref`),
-one row per open (i+1)-cell.  For i = 1 and q in {2, 3} on complexes with
-at least `_GAUGE_MIN_EDGES` edges it gauge-fixes the system instead
-(`_gauge_system`): a spanning forest of the P1 clusters takes the
-coboundaries dg of the 0-cochains constant on them, a peel forces most
-other edges to 0, and only the rows left are eliminated.  Every Betti
+one row per open (i+1)-cell.  For i = 1 and q in {2, 3} on boxes and tori
+of period >= 2 with at least `_GAUGE_MIN_EDGES` edges it gauge-fixes the
+system instead (`_gauge_system`): a spanning forest of the P1 clusters
+takes the coboundaries dg of the 0-cochains constant on them, a peel
+forces most other edges to 0, both as rounds of word-parallel operations
+on per-direction bitsets, and only the rows left are eliminated.  Every Betti
 number is read off it: rank H^j = dim Z^j - (|C^(j-1)| - dim Z^(j-1)).
 """
 from __future__ import annotations
@@ -111,67 +112,239 @@ def _join(labels: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
 # The gauge path of `cocycle_system` (i = 1, q in {2, 3}) on complexes with
 # at least this many edges, a 10^3 box: the smallest box side at which it
 # was no slower than the elimination at (0.9, 0.1) and (0.5, 0.9) for
-# q = 2 and 3.  Its forest and peel cost numpy calls per BFS level and per
-# peel round, so on 9^3 at (0.5, 0.9), q = 2, it took 1.18x as long
-# (BENCH_gauge-fixed.json, "cutoff").
+# q = 2 and 3 (BENCH_gauge-fixed.json, "cutoff").  That was measured with
+# the elimination's row filter and a numpy forest and peel, both since
+# replaced; the cut-off stands until it is measured again on this path.
 _GAUGE_MIN_EDGES = 3630
 
 
+class _Axis(NamedTuple):
+    """One axis of the vertex layout of a box or torus: the id stride of a
+    step along it and, on a torus, the shift that wraps its top slab onto
+    its bottom one and the n_0-bit masks of the vertices below the top
+    slab, on it and on the bottom slab (0 on a box, which does not wrap)."""
+
+    stride: int
+    wrap: int
+    inner: int
+    top: int
+    bottom: int
+
+
+def _step(bits: int, axis: _Axis, up: bool) -> int:
+    """A layout plane moved one step along an axis: up takes bit v to
+    v + e, down takes v + e to v.  On a torus the slab that leaves wraps
+    round.  On a box it is a bare shift, exact on the bits off its top
+    slab (up) and at the positions off it (down); no edge or 2-cell of a
+    box has its tail or base on the top slab of an axis it spans, so the
+    callers step only planes of those, or mask the result with one."""
+    if not axis.wrap:
+        return bits << axis.stride if up else bits >> axis.stride
+    if up:
+        return (bits & axis.inner) << axis.stride | (bits & axis.top) >> axis.wrap
+    return (bits >> axis.stride) & axis.inner | (bits & axis.bottom) << axis.wrap
+
+
+def _pack(flags: np.ndarray) -> int:
+    """Booleans as a bitset (index k -> bit k)."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _unpack(bits: int, n: int) -> np.ndarray:
+    """A bitset as n booleans (bit k -> index k)."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
 class _GaugeTables(NamedTuple):
-    """The per-complex tables of the gauge path: the tail and the head of
-    every edge (boundary head - tail), the edges of every 2-cell (padding
-    -> n_1) and their signs, the same edges slot by slot, the 2-cells of
-    every edge (padding -> n_2; row n_1 all padding) and the edges at every
-    vertex (padding -> n_1)."""
+    """The per-complex tables of the gauge path on a box or torus: the tail
+    and the head of every edge (boundary head - tail), the edges of every
+    2-cell and their signs, and the padded vertex layout of the bitset
+    rounds.  In the layout, bit u * n_0 + v holds the direction-u edge with
+    tail v and bit k * n_0 + v the 2-cell of direction pair `pairs[k]` with
+    base corner v; `edge_at` and `face_at` give the bit of every edge and
+    2-cell id (both increase with the id), and `present` the planes of the
+    bits that hold an edge.  The forest's candidate edges come as two
+    layouts, one after the other, the first with the edges whose far end
+    is their head and the second with those whose far end is their tail:
+    `far_at` gives that far vertex at each of their bits (0 where no edge
+    is) and `bit_at` the bit of the edge in one layout."""
 
     tail: np.ndarray
     head: np.ndarray
     edges: np.ndarray
     edge_signs: np.ndarray
-    slots: np.ndarray
-    cofaces: np.ndarray
-    star: np.ndarray
-
-
-def _incident(cells: np.ndarray, n: int) -> np.ndarray:
-    """For a table of ids below n (n meaning none), one row per id, and one
-    more, listing the table rows that hold it, padded with len(cells)."""
-    flat = cells.ravel()
-    owner = np.repeat(np.arange(len(cells)), cells.shape[1])
-    keep = flat < n
-    order = np.argsort(flat[keep], kind="stable")
-    flat, owner = flat[keep][order], owner[keep][order]
-    counts = np.bincount(flat, minlength=n)
-    out = np.full((n + 1, max(1, counts.max(initial=0))), len(cells))
-    out[flat, np.arange(len(flat)) - (np.cumsum(counts) - counts)[flat]] = owner
-    return out
+    n0: int
+    axes: tuple[_Axis, ...]
+    pairs: tuple[tuple[int, int], ...]
+    edge_at: np.ndarray
+    face_at: np.ndarray
+    far_at: np.ndarray
+    bit_at: np.ndarray
+    present: tuple[int, ...]
 
 
 def _gauge_tables(X) -> _GaugeTables | None:
-    """The gauge tables of X, cached in `X.cache`; None when X does not fit
-    the gauge path: every edge must have two distinct vertices with signs
-    +1 and -1, every 2-cell distinct edges with signs +-1 (no coincident
-    faces, as on period-1 tori), and the 1-skeleton must be connected."""
+    """The gauge tables of X, cached in `X.cache`; None unless X is a box
+    or a torus of period >= 2 in d >= 2 (on a period-1 torus an edge has
+    one vertex and a 2-cell a face twice)."""
     key = ("gauge_tables",)
     if key not in X.cache:
         tables = None
-        if X.num_cells(2):
-            n0, n1 = X.num_cells(0), X.num_cells(1)
-            ends, signs = X.incidence(1)
-            faces, face_signs = X.incidence(2)
-            edges = np.where(face_signs != 0, faces, n1)
-            ordered = np.sort(edges, axis=1)
-            fits = (ends.shape[1] == 2 and (ends[:, 0] != ends[:, 1]).all()
-                    and (np.sort(signs, axis=1) == [-1, 1]).all()
-                    and not ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] < n1)).any()
-                    and (np.abs(face_signs) <= 1).all())
-            if fits and (_join(np.arange(n0), ends[:, 0], ends[:, 1]) == n0 - 1).all():
-                head = np.where(signs[:, 0] == 1, ends[:, 0], ends[:, 1])
-                tables = _GaugeTables(ends.sum(axis=1) - head, head, edges, face_signs,
-                                      edges.T.copy(), _incident(edges, n1),
-                                      _incident(ends, n0)[:n0])
+        if X.kind in ("box", "torus") and X.d >= 2 and (X.kind == "box" or X.period >= 2):
+            d, n0 = X.d, X.num_cells(0)
+            shape = np.array([w + 1 for w in X.widths] if X.period is None else [X.period] * d)
+            strides = n0 // np.cumprod(shape)
+            if X.period is None:
+                axes = tuple(_Axis(int(s), 0, 0, 0, 0) for s in strides)
+            else:
+                coords = np.arange(n0)[None, :] // strides[:, None] % shape[:, None]
+                axes = tuple(_Axis(int(s), int(s) * (X.period - 1), _pack(c < X.period - 1),
+                                   _pack(c == X.period - 1), _pack(c == 0))
+                             for s, c in zip(strides, coords))
+            pairs = tuple(itertools.combinations(range(d), 2))
+            # the cells of one direction set take consecutive ids, their
+            # base corners in vertex order; a box has none on the top slab
+            # of an axis they span
+            counts = n0 // shape * (shape - 1) if X.period is None else np.full(d, n0)
+            ends, _ = X.incidence(1)
+            head, tail = ends.T
+            edges, edge_signs = X.incidence(2)
+            edge_at = np.repeat(np.arange(d) * n0, counts) + tail
+            face_counts = [counts[u] // shape[w] * (shape[w] - 1) if X.period is None else n0
+                           for u, w in pairs]
+            # the second face of a 2-cell is its bottom edge along the
+            # later axis, whose tail is the base corner
+            face_at = np.repeat(np.arange(len(pairs)) * n0, face_counts) + tail[edges[:, 1]]
+            head_at = np.zeros(d * n0, dtype=np.int64)
+            head_at[edge_at] = head
+            present = np.zeros(d * n0, dtype=bool)
+            present[edge_at] = True
+            bits = np.arange(d * n0)
+            tables = _GaugeTables(tail, head, edges, edge_signs, n0, axes, pairs, edge_at,
+                                  face_at, np.concatenate([head_at, bits % n0]),
+                                  np.concatenate([bits, bits]), tuple(_planes(present, n0)))
         X.cache[key] = tables
     return X.cache[key]
+
+
+def _planes(flags: np.ndarray, n0: int) -> list[int]:
+    """Layout booleans as n_0-bit planes, plane k from bit k * n_0."""
+    whole, full = _pack(flags), (1 << n0) - 1
+    return [(whole >> (k * n0)) & full for k in range(len(flags) // n0)]
+
+
+def _to_layout(cells: np.ndarray, at: np.ndarray, count: int, n0: int) -> list[int]:
+    """Booleans over cell ids as `count` layout planes, the cell with id k
+    at bit at[k] of the layout."""
+    flags = np.zeros(count * n0, dtype=bool)
+    flags[at] = cells
+    return _planes(flags, n0)
+
+
+def _set_bits(planes: list[int], n0: int) -> np.ndarray:
+    """The set bits of layout planes, in increasing order."""
+    whole = sum(plane << (k * n0) for k, plane in enumerate(planes))
+    return np.flatnonzero(_unpack(whole, len(planes) * n0))
+
+
+def _forest(tables: _GaugeTables, opened: list[int], closed: list[int],
+            labels: np.ndarray) -> np.ndarray:
+    """The layout bits of the spanning tree of the clusters (their labels
+    from `_join`), from a BFS through the closed edges over vertex
+    bitsets.  Each level is the set of vertices one closed edge from the
+    last level that are not reached yet, closed under the open edges by
+    spreading until it stops changing; each cluster joins the tree through
+    the lowest-id closed edge from the last level into it."""
+    axes = tables.axes
+
+    def cluster(front: int) -> int:
+        while True:
+            grown = front
+            # each axis spreads what the last one reached
+            for axis, edges in zip(axes, opened):
+                grown |= _step(grown & edges, axis, True) | (_step(grown, axis, False) & edges)
+            if grown == front:
+                return front
+            front = grown
+
+    # complements are XORs with a known superset: `~` on a python int
+    # makes it negative, and a mask with it costs several plain ones
+    last = cluster(1 << tables.n0 // 2)
+    unreached = ((1 << tables.n0) - 1) ^ last
+    # the candidates whose far end is their head, and those whose far end
+    # is their tail
+    ahead, behind = [0] * len(axes), [0] * len(axes)
+    while True:
+        # the closed edges with their tail, and with their head, in the last level
+        tails = [last & edges for edges in closed]
+        heads = [_step(last, axis, False) & edges for axis, edges in zip(axes, closed)]
+        new = 0
+        for axis, out, into in zip(axes, tails, heads):
+            new |= _step(out, axis, True) | into
+        new &= unreached
+        if not new:
+            break
+        new = cluster(new)
+        for u, axis in enumerate(axes):
+            ahead[u] |= tails[u] & _step(new, axis, False)
+            behind[u] |= heads[u] & new
+        unreached ^= new
+        last = new
+    # the layout order is the id order
+    at = _set_bits(ahead + behind, tables.n0)
+    size = len(axes) * tables.n0
+    first = np.full(tables.n0, size)
+    np.minimum.at(first, labels[tables.far_at[at]], tables.bit_at[at])
+    return first[first < size]
+
+
+def _peel(tables: _GaugeTables, unknown: list[int], faces: list[int]) -> list[int]:
+    """Clear, round by round, every unknown edge that is the only one of
+    an open 2-cell (the layout planes `faces`), in place in the planes
+    `unknown`; returns the open 2-cells left with two or more, as layout
+    planes.  Per direction pair (u, w) a half-adder counts the unknown
+    edges of each 2-cell: u at its base and one step along w, w at its
+    base and one step along u.  The fixpoint of the peel is unique, so the
+    round order does not change it."""
+    axes = tables.axes
+    while True:
+        forced, rows = False, []
+        for (u, w), opened in zip(tables.pairs, faces):
+            a, b = unknown[u], _step(unknown[u], axes[w], False)
+            c, e = unknown[w], _step(unknown[w], axes[u], False)
+            odd1, odd2 = a ^ b, c ^ e
+            two = (a & b) | (c & e) | (odd1 & odd2)
+            one = opened & (odd1 ^ odd2)
+            one ^= one & two
+            if one:
+                # the cleared edges are the unknown ones among the four
+                unknown[u] ^= unknown[u] & (one | _step(one, axes[w], True))
+                unknown[w] ^= unknown[w] & (one | _step(one, axes[u], True))
+                forced = True
+            rows.append(opened & two)
+        if not forced:
+            return rows
+
+
+def _gauge_fix(tables: _GaugeTables, bits2: int, bits1: int):
+    """The cluster labels of the open edges (`_join`), the layout bits of
+    the tree edges, the unknown edges W left by the peel (increasing ids)
+    and the residual rows (decreasing ids) of the gauge path; see
+    `_gauge_system`."""
+    n0, n1, d = tables.n0, len(tables.tail), len(tables.axes)
+    open1 = _unpack(bits1, n1)
+    labels = _join(np.arange(n0), tables.tail[open1], tables.head[open1])
+    opened = _to_layout(open1, tables.edge_at, d, n0)
+    closed = [edges ^ o for edges, o in zip(tables.present, opened)]
+    tree = _forest(tables, opened, closed, labels)
+    flags = np.zeros(d * n0, dtype=bool)
+    flags[tree] = True
+    unknown = [c ^ t for c, t in zip(closed, _planes(flags, n0))]
+    faces = _to_layout(_unpack(bits2, len(tables.edges)), tables.face_at, len(tables.pairs), n0)
+    rows = _peel(tables, unknown, faces)
+    return (labels, tree, np.searchsorted(tables.edge_at, _set_bits(unknown, n0)),
+            np.searchsorted(tables.face_at, _set_bits(rows, n0))[::-1])
 
 
 class _Gauge(NamedTuple):
@@ -209,89 +382,36 @@ class _Gauge(NamedTuple):
         return f % q
 
 
-def _unpack(bits: int, n: int) -> np.ndarray:
-    """A bitset as n booleans (bit k -> index k)."""
-    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
-
-
-def _distinct(ids: np.ndarray) -> np.ndarray:
-    """The distinct values of ids, sorted (a sort is several times faster
-    than `np.unique` on the few hundred ids of a peel round)."""
-    ids = np.sort(ids)
-    keep = np.ones(len(ids), dtype=bool)
-    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-    return ids[keep]
-
-
 def _gauge_system(X, q: int, bits2: int, bits1: int) -> CocycleSystem | None:
     """The cocycle system of degree 1 over GF(q), q in {2, 3}, gauge-fixed;
-    None when X does not fit (see `_gauge_tables`).
+    None unless X is a box or a torus of period >= 2 (see `_gauge_tables`).
 
     Z^1(P2, P1) holds dg for every 0-cochain g constant on the clusters of
     P1 (vertices joined by open edges).  A spanning tree T of the clusters
     through closed edges fixes g up to a constant, so f = f' + dg is a
     bijection between Z^1(P2, P1) and the pairs (g mod constants, f') with
-    f' in Z^1(P2, P1) vanishing on T.  T comes from a BFS over the clusters,
-    one numpy round per level from the cluster of vertex n_0 // 2, each
-    cluster reached through the lowest-id edge that reaches it.  For f' the
-    closed edges off T are unknown; an open 2-cell with one unknown edge
-    left forces it to 0, one with none left is redundant (the elementary
-    reductions of cubical homology, Kaczynski-Mischaikow-Mrozek 2004).  Each
-    peel round touches only the cofaces of the edges the last one forced.
-    The open 2-cells with two or more unknowns left are eliminated over the
-    unknown edges W, renumbered compactly, so dim = |T| + |W| - rank.
+    f' in Z^1(P2, P1) vanishing on T.  T comes from a BFS over the clusters
+    from the cluster of vertex n_0 // 2, each cluster reached through the
+    lowest-id edge that reaches it.  For f' the closed edges off T are
+    unknown; an open 2-cell with one unknown edge left forces it to 0, one
+    with none left is redundant (the elementary reductions of cubical
+    homology, Kaczynski-Mischaikow-Mrozek 2004).  The BFS levels and the
+    peel rounds are a few shifts, ANDs and ORs each on per-direction
+    bitsets of the vertex layout (`_forest`, `_peel`).  The open 2-cells
+    with two or more unknowns left are eliminated over the unknown edges W,
+    renumbered compactly, so dim = |T| + |W| - rank.
     """
     tables = _gauge_tables(X)
     if tables is None:
         return None
-    n0, n1, n2 = X.num_cells(0), X.num_cells(1), X.num_cells(2)
-    open1 = _unpack(bits1, n1)
-    labels = _join(np.arange(n0), tables.tail[open1], tables.head[open1])
-    # the forest; closed[n1] is the padding of the star table
-    closed = np.append(~open1, False)
-    reached = np.zeros(n0, dtype=bool)
-    level = labels[n0 // 2:n0 // 2 + 1]
-    tree = []
-    first = np.full(n0, n1)
-    while level.size:
-        reached[level] = True
-        frontier = np.zeros(n0, dtype=bool)
-        frontier[level] = True
-        edges = tables.star[np.flatnonzero(frontier[labels])].ravel()
-        edges = edges[closed[edges]]
-        tail, head = labels[tables.tail[edges]], labels[tables.head[edges]]
-        far = np.where(reached[tail], head, tail)
-        new = ~reached[far]
-        edges, far = edges[new], far[new]
-        # each new cluster through the lowest-id edge that reaches it
-        np.minimum.at(first, far, edges)
-        chosen = first[far] == edges
-        tree.append(edges[chosen])
-        level = far[chosen]
-    tree = np.concatenate(tree)
-    unknown = closed
-    unknown[tree] = False
-    # the peel; count[n2] is the padding of the coface table, and the rows
-    # of closed 2-cells start at 0 and only fall
-    as_int = unknown.view(np.uint8)
-    count = np.zeros(n2 + 1, dtype=np.int64)
-    count[:n2] = np.where(_unpack(bits2, n2), sum(as_int[slot] for slot in tables.slots), 0)
-    rows = np.flatnonzero(count == 1)
-    while rows.size:
-        edges = tables.edges[rows]
-        forced = _distinct(edges[unknown[edges]])
-        unknown[forced] = False
-        hit = tables.cofaces[forced].ravel()
-        np.subtract.at(count, hit, 1)
-        # a row twice in here forces the same edge twice, kept once above
-        rows = hit[count[hit] == 1]
-    cells = np.flatnonzero(unknown)
+    n0, n1 = X.num_cells(0), X.num_cells(1)
+    labels, tree, cells, rows = _gauge_fix(tables, bits2, bits1)
+    unknown = np.zeros(n1, dtype=bool)
+    unknown[cells] = True
     width = len(cells)
-    shift = np.zeros(n1 + 1, dtype=np.int64)
+    shift = np.zeros(n1, dtype=np.int64)
     shift[cells] = np.arange(width - 1, -1, -1)
     # decreasing ids, as on the elimination path
-    rows = np.flatnonzero(count[:n2] >= 2)[::-1]
     edges = tables.edges[rows]
     coeffs = np.where(unknown[edges], tables.edge_signs[rows] % q, 0)
     packed = _pack_rows(coeffs, shift[edges], q)
@@ -396,8 +516,8 @@ def cocycle_system(X, i: int, q: int, bits2: int, bits1: int) -> CocycleSystem:
     one elimination; callers must not mutate the result.  On a miss the old
     system is released before the new one is built, so two systems are
     never alive at once.  The row of every open (i+1)-cell is eliminated.
-    For i = 1 and q in {2, 3} on complexes with at least `_GAUGE_MIN_EDGES`
-    edges that fit it, the system is gauge-fixed instead (`_gauge_system`):
+    For i = 1 and q in {2, 3} on boxes and tori of period >= 2 with at least
+    `_GAUGE_MIN_EDGES` edges, the system is gauge-fixed instead (`_gauge_system`):
     the face masks are not built, and the seeded draw is not the
     elimination path's.
     """

@@ -1,6 +1,7 @@
 """Helpers that only the tests call: a chain's boundary, growing and
-comparing percolation subcomplexes, their JSON round trip, and the
-general-gauge coupling (its weight and its conditional spin draw)."""
+comparing percolation subcomplexes, their JSON round trip, the
+general-gauge coupling (its weight and its conditional spin draw), and a
+numpy reference for the forest and the peel of the gauge path."""
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import numpy as np
 from cpp_lab.complexes import (Chain, CubicalComplex, PercSubcomplex, build_box,
                                build_torus, complex_to_json)
 from cpp_lab.errors import InvalidDimension, ValidationError
+from cpp_lab.homology import _join, _unpack
 from cpp_lab.measures import ModelParams, _coupling_weight, delta_cochain
 from cpp_lab.sampler import resample_spins
 
@@ -77,3 +79,77 @@ def sample_general_gauge(P2: PercSubcomplex, P1: PercSubcomplex, q: int, rng
     h = resample_spins(P2, P1, q, rng)
     f = (h + delta_cochain(g, X, i - 1, q)) % q
     return f, g
+
+
+def _incident(cells: np.ndarray, n: int) -> np.ndarray:
+    """For a table of ids below n (n meaning none), one row per id, and one
+    more, listing the table rows that hold it, padded with len(cells)."""
+    flat = cells.ravel()
+    owner = np.repeat(np.arange(len(cells)), cells.shape[1])
+    keep = flat < n
+    order = np.argsort(flat[keep], kind="stable")
+    flat, owner = flat[keep][order], owner[keep][order]
+    counts = np.bincount(flat, minlength=n)
+    out = np.full((n + 1, max(1, counts.max(initial=0))), len(cells))
+    out[flat, np.arange(len(flat)) - (np.cumsum(counts) - counts)[flat]] = owner
+    return out
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of ids, sorted."""
+    ids = np.sort(ids)
+    keep = np.ones(len(ids), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
+def gauge_fix_reference(X, bits2: int, bits1: int):
+    """The forest and the peel of `homology._gauge_system`, one numpy round
+    per BFS level and per peel round, on the edge and 2-cell ids of a box
+    or torus: the tree edges (increasing ids), the unknown edges W left by
+    the peel (increasing ids) and the residual rows, the open 2-cells with
+    two or more unknown edges (decreasing ids)."""
+    n0, n1, n2 = X.num_cells(0), X.num_cells(1), X.num_cells(2)
+    ends, _ = X.incidence(1)
+    head, tail = ends.T
+    edges, _ = X.incidence(2)
+    star, cofaces = _incident(ends, n0)[:n0], _incident(edges, n1)
+    open1 = _unpack(bits1, n1)
+    labels = _join(np.arange(n0), tail[open1], head[open1])
+    # the forest; closed[n1] is the padding of the star table
+    closed = np.append(~open1, False)
+    reached = np.zeros(n0, dtype=bool)
+    level = labels[n0 // 2:n0 // 2 + 1]
+    tree = []
+    first = np.full(n0, n1)
+    while level.size:
+        reached[level] = True
+        frontier = np.zeros(n0, dtype=bool)
+        frontier[level] = True
+        near = star[np.flatnonzero(frontier[labels])].ravel()
+        near = near[closed[near]]
+        ends_t, ends_h = labels[tail[near]], labels[head[near]]
+        far = np.where(reached[ends_t], ends_h, ends_t)
+        new = ~reached[far]
+        near, far = near[new], far[new]
+        # each new cluster through the lowest-id edge that reaches it
+        np.minimum.at(first, far, near)
+        chosen = first[far] == near
+        tree.append(near[chosen])
+        level = far[chosen]
+    tree = np.sort(np.concatenate(tree))
+    unknown = closed
+    unknown[tree] = False
+    # the peel; count[n2] is the padding of the coface table, and the rows
+    # of closed 2-cells start at 0 and only fall
+    as_int = unknown.view(np.uint8)
+    count = np.zeros(n2 + 1, dtype=np.int64)
+    count[:n2] = np.where(_unpack(bits2, n2), sum(as_int[slot] for slot in edges.T), 0)
+    rows = np.flatnonzero(count == 1)
+    while rows.size:
+        forced = _distinct(edges[rows][unknown[edges[rows]]])
+        unknown[forced] = False
+        hit = cofaces[forced].ravel()
+        np.subtract.at(count, hit, 1)
+        rows = hit[count[hit] == 1]
+    return tree, np.flatnonzero(unknown), np.flatnonzero(count[:n2] >= 2)[::-1]

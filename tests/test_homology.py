@@ -1,5 +1,6 @@
 """Cocycle spaces, Betti numbers, V_gamma, Euler characteristic, min area."""
 import copy
+import functools
 import itertools
 import random
 import sys
@@ -19,7 +20,7 @@ from cpp_lab.errors import BudgetExceeded, DimensionMismatch, DoesNotFit, TooLar
 from cpp_lab.measures import delta_cochain
 from cpp_lab.observables import rect_loop
 from dense_reference import boundary_matrix, cocycle_basis, cocycle_matrix, cocycle_sample
-from helpers import chain_boundary, with_cell
+from helpers import chain_boundary, gauge_fix_reference, with_cell
 
 
 def random_pair(X, i, rnd):
@@ -328,16 +329,14 @@ def test_small_complexes_build_the_system_without_numpy(monkeypatch):
         assert cocycle_system(X, 1, 2, bits2, bits1).dim == dim
 
 
-# every fitting complex, the padded explicit one included
+# boxes and tori of period >= 2, the complexes the gauge path serves
 GAUGE_COMPLEXES = (build_box(2, [2, 2]), build_box(2, [3, 2]), build_box(3, [2, 2, 1]),
-                   build_box(3, [2, 2, 2]), build_torus(2, 3), build_torus(3, 2),
-                   build_torus(3, 3), RAGGED)
+                   build_box(3, [2, 2, 2]), build_torus(2, 2), build_torus(2, 3),
+                   build_torus(3, 2), build_torus(3, 3))
 
 
 def loop_chains(X, q: int) -> list[Chain]:
     """The n = 2 loop of `rect_loop` and its open half gamma', where they fit."""
-    if X.kind == "explicit":
-        return []
     try:
         fam = rect_loop(2, X.d, X, q)
     except DoesNotFit:
@@ -440,19 +439,64 @@ def two_separate_squares() -> ExplicitComplex:
 
 
 @pytest.mark.parametrize("X", [build_torus(2, 1), build_torus(3, 1), two_separate_squares(),
-                               two_squares_complex()])
+                               two_squares_complex(), RAGGED])
 def test_complexes_that_do_not_fit_keep_the_elimination(X, monkeypatch):
+    # the gauge path serves boxes and tori of period >= 2 only
     monkeypatch.setattr(homology, "_GAUGE_MIN_EDGES", 0)
-    fits = X.kind == "explicit" and X.num_cells(2) == 1
-    assert (homology._gauge_system(X, 2, 0, 0) is not None) == fits
+    assert homology._gauge_system(X, 2, 0, 0) is None
     rnd = random.Random(13)
     for q in (2, 3):
         for _ in range(10):
             pair = random_pair(X, 1, rnd)
             X.cache.pop("cocycle_system", None)
             system = cocycle_system(X, 1, q, pair.P2.bits, pair.P1.bits)
-            assert (system.gauge is not None) == fits
+            assert system.gauge is None
             assert system.dim == len(cocycle_basis(pair, q))
+
+
+@functools.lru_cache(maxsize=None)
+def cubical(kind: str, d: int, sides: tuple[int, ...]):
+    return build_box(d, sides) if kind == "box" else build_torus(d, sides[0])
+
+
+@st.composite
+def cubical_pairs(draw):
+    """A box of sides 1-5 or a torus of period 2-4 in d = 2 or 3, q, and a
+    pair drawn at p2 in [0.3, 1], p1 in [0, 0.9]: from many small clusters
+    to one giant one."""
+    d = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        X = cubical("torus", d, (draw(st.integers(2, 4)),))
+    else:
+        X = cubical("box", d, tuple(draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))))
+    p2, p1 = draw(st.floats(0.3, 1.0)), draw(st.floats(0.0, 0.9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bits2 = gfq.vector_to_bits(rng.random(X.num_cells(2)) < p2)
+    bits1 = gfq.vector_to_bits(rng.random(X.num_cells(1)) < p1)
+    return X, draw(st.sampled_from([2, 3])), bits2, bits1
+
+
+@settings(max_examples=200, deadline=None)
+@given(cubical_pairs())
+# period 2: two edges join the same two vertices
+@example((cubical("torus", 2, (2,)), 2, 0b1011, 0b10010011))
+@example((cubical("torus", 3, (2,)), 3, random.Random(7).getrandbits(24),
+          random.Random(8).getrandbits(24)))
+def test_bitset_forest_and_peel_match_the_numpy_reference(case):
+    X, q, bits2, bits1 = case
+    tree, cells, rows = gauge_fix_reference(X, bits2, bits1)
+    tables = homology._gauge_tables(X)
+    _, got_tree, got_cells, got_rows = homology._gauge_fix(tables, bits2, bits1)
+    assert np.array_equal(np.searchsorted(tables.edge_at, np.sort(got_tree)), tree)
+    assert np.array_equal(got_cells, cells)
+    assert np.array_equal(got_rows, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_GAUGE_MIN_EDGES", 0)
+        X.cache.pop("cocycle_system", None)
+        system = cocycle_system(X, 1, q, bits2, bits1)
+    assert np.array_equal(system.gauge.cells, cells)
+    X.cache.pop("cocycle_system", None)
+    assert system.dim == cocycle_system(X, 1, q, bits2, bits1).dim  # the elimination
 
 
 def test_cocycle_system_keeps_one_system_per_complex():

@@ -165,29 +165,36 @@ def test_seed_determinism_is_bitwise():
     assert r1.series_csv_rows() == r2.series_csv_rows()
 
 
-# sha256 of f after each of 20 sweeps on a side^3 box at (p2, p1) = (0.9, 0.1),
-# i = 1, seed 41: the seeded stream, which a faster solver must keep.  Each
-# route of `cocycle_system` pins its own stream: 6^3 and 4^3 lie below the
-# gauge cut-off (elimination), 12^3 above it (gauge path)
+# sha256 of f after each of 20 sweeps on a side^3 box or a period-side
+# 3-torus at (p2, p1) = (0.9, 0.1), i = 1, seed 41: the seeded stream, which
+# a faster solver must keep.  Each route of `cocycle_system` pins its own
+# stream: the 6^3 and 4^3 boxes lie below the gauge cut-off (elimination),
+# the 12^3 box and the period-11 torus (3993 edges) above it (gauge path),
+# the torus with its wrapped edges
 STREAM_DIGESTS = {
-    (2, 6): "4b7dc625bcbe9a7743eadd1bc589978648c8aa8e8a9cf6c5847bdec3ba6d9704",
-    (3, 6): "9f2fab87d421a8e07ed39a2bb6655213c6ebae82dbfe5e96a90aaad9263bd07b",
-    (5, 4): "1daf90c2d5b81eab0e6f3bef3531249f35708ac5dc270336e78538448679ef18",
-    (2, 12): "cf3e5eea99ddccd6b92052e8338fea482240d802c136a352178cc6a79bdc412f",
-    (3, 12): "d7dd05f0c7c9d6250c87c0b83f62d10ae223c6831d3fdc632997bb8052cffb20",
+    (2, "box", 6): "4b7dc625bcbe9a7743eadd1bc589978648c8aa8e8a9cf6c5847bdec3ba6d9704",
+    (3, "box", 6): "9f2fab87d421a8e07ed39a2bb6655213c6ebae82dbfe5e96a90aaad9263bd07b",
+    (5, "box", 4): "1daf90c2d5b81eab0e6f3bef3531249f35708ac5dc270336e78538448679ef18",
+    (2, "box", 12): "cf3e5eea99ddccd6b92052e8338fea482240d802c136a352178cc6a79bdc412f",
+    (3, "box", 12): "d7dd05f0c7c9d6250c87c0b83f62d10ae223c6831d3fdc632997bb8052cffb20",
+    (2, "torus", 11): "1349ef2c905f556e1b1ffbed5e14e4942b31dc6abe9265a8843e766a3cfd7662",
+    (3, "torus", 11): "f720f0ffd187cdcd46dba2bdb7978facb635a9c3eefaf66b42b275981439b413",
 }
 
 
-@pytest.mark.parametrize("q,side", sorted(STREAM_DIGESTS))
-def test_seeded_sweeps_keep_their_stream(q, side):
-    X = build_box(3, [side] * 3)
+@pytest.mark.parametrize("q,kind,side", sorted(STREAM_DIGESTS),
+                         ids=[f"{q}-{side}" if kind == "box" else f"{q}-{kind}{side}"
+                              for q, kind, side in sorted(STREAM_DIGESTS)])
+def test_seeded_sweeps_keep_their_stream(q, kind, side):
+    X = build_box(3, [side] * 3) if kind == "box" else build_torus(3, side)
     cfg = S.RunConfig(q=q, i=1, p2=0.9, p1=0.1, n_samples=20, seed=41)
     state = S.init_state(X, cfg)
     digest = hashlib.sha256()
     for _ in range(20):
         state = S.sweep(state, cfg, X)
+        assert (X.cache["cocycle_system"][1].gauge is not None) == (side > 10)
         digest.update(np.asarray(state.f, dtype=np.int64).tobytes())
-    assert digest.hexdigest() == STREAM_DIGESTS[q, side]
+    assert digest.hexdigest() == STREAM_DIGESTS[q, kind, side]
 
 
 @pytest.mark.parametrize("q", [2, 3])
