@@ -16,8 +16,9 @@ passes of the 20 pairs.  Against the first arm, every other arm gets
 (the median over rounds of the ratio within a round).  Besides the times
 it reports `rank_mean`, the mean rank of the eliminated rows, and on the
 gauge path `width_mean`, the mean number of unknown edges W left after
-the peel (null on the elimination), so that a weaker peel shows.  Prints
-one JSON object.
+the peel, and `rows_mean`, the mean number of residual rows eliminated
+over them (both null on the elimination), so that a weaker peel shows.
+Prints one JSON object.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ def child(src: str, route: str, pairs_file: str) -> None:
         homology._GAUGE_MIN_EDGES = float("inf")
     X = build_box(3, [side] * 3)
     rng = np.random.default_rng(0)
-    build, draw, rows, width = [], [], [], []
+    build, draw, rank, width, rows = [], [], [], [], []
     for _ in range(3):
         for bits2, bits1 in pairs:
             X.cache.pop("cocycle_system", None)
@@ -61,15 +62,18 @@ def child(src: str, route: str, pairs_file: str) -> None:
             t2 = time.perf_counter()
             build.append(t1 - t0)
             draw.append(t2 - t1)
-            rows.append(len(system.pivots) if system.pivots is not None else system.red.rank)
+            rank.append(len(system.pivots) if system.pivots is not None else system.red.rank)
             if system.gauge is not None:
                 width.append(system.n_i)
+                # untimed: the residual rows the elimination took
+                rows.append(len(homology._gauge_fix(system.gauge.tables, bits2, bits1)[-1]))
     total = [a + b for a, b in zip(build, draw)]
     print(json.dumps({"ms": 1e3 * statistics.median(total),
                       "build_ms": 1e3 * statistics.median(build),
                       "draw_ms": 1e3 * statistics.median(draw),
-                      "rank_mean": statistics.mean(rows),
-                      "width_mean": statistics.mean(width) if width else None}))
+                      "rank_mean": statistics.mean(rank),
+                      "width_mean": statistics.mean(width) if width else None,
+                      "rows_mean": statistics.mean(rows) if rows else None}))
 
 
 def make_pairs(side: int, q: int, p2: float, p1: float, seed: int) -> list[tuple[int, int]]:
@@ -122,8 +126,9 @@ def main(argv=None) -> None:
     for name, runs in results.items():
         summary[name] = {key: statistics.median(run[key] for run in runs)
                          for key in ("ms", "build_ms", "draw_ms", "rank_mean")}
-        # the same pairs in every round, so the same width
+        # the same pairs in every round, so the same width and rows
         summary[name]["width_mean"] = runs[0]["width_mean"]
+        summary[name]["rows_mean"] = runs[0]["rows_mean"]
         if name != first:
             summary[name]["ratio"] = summary[name]["ms"] / summary[first]["ms"]
             summary[name]["rounds_faster"] = sum(

@@ -1,15 +1,18 @@
 """Cell complexes: cubical boxes and discrete tori, and explicit complexes.
 
-Both kinds share one core, `CellComplex`: a subclass lists its cells in
-id order and defines `boundary_of(cell)`, and the core derives the sparse
-incidence lists and, scattered from them on demand, restricted integer
-coboundary matrices.  All structure a complex keeps (the incidence lists,
-GF(2) face masks, exact pair tables and the last relative cocycle system)
-lives in its one `cache` dict, as long as the complex does.
+Both kinds share one core, `CellComplex`: a subclass gives its cells in
+id order, their ids and `boundary_of(cell)`, and the core derives the
+sparse incidence lists and, scattered from them on demand, restricted
+integer coboundary matrices.  All structure a complex keeps (the incidence
+lists, GF(2) face masks, gauge tables, exact pair tables and the last
+relative cocycle system) lives in its one `cache` dict, as long as the
+complex does.
 
 Cubical cells are axis-aligned unit cubes identified by (base corner,
 spanned axis set).  Ids are assigned lexicographically on (dirs, base),
-which keeps coboundary matrices and RNG streams reproducible across runs.
+which keeps coboundary matrices and RNG streams reproducible across runs;
+a cubical complex computes them from the id block of each axis set and
+stores no cells.  An explicit complex keeps its named cells in lists.
 
 Boundary convention: a j-cell spanning axes u_1 < ... < u_j has
 
@@ -20,6 +23,8 @@ the standard cubical convention; it satisfies boundary(boundary) = 0.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -42,47 +47,34 @@ class Cell(NamedTuple):
 class CellComplex:
     """Shared core of a finite cell complex.
 
-    Subclasses set `kind` and `d`, pass the cell keys of each dimension in
-    id order to `__init__`, and define `boundary_of(cell)`.
+    Subclasses set `kind` and `d` and define `num_cells(j)`, `cells(j)` (the
+    j-cells in id order), `cell_id(cell)` and `boundary_of(cell)`.
     """
 
     kind: str
     d: int
 
-    def __init__(self, cells: list[list]):
-        self._cells = cells
-        self._index = [{c: k for k, c in enumerate(level)} for level in cells]
+    def __init__(self):
         self.cache: dict = {}
 
-    def num_cells(self, j: int) -> int:
-        if not 0 <= j <= self.d:
-            return 0
-        return len(self._cells[j])
-
     def cell_counts(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self._cells)
-
-    def _width(self, j: int) -> int:
-        """Row width of `incidence(j)`: the longest boundary of a j-cell."""
-        return max((len(self.boundary_of(c)) for c in self._cells[j]), default=0)
+        return tuple(self.num_cells(j) for j in range(self.d + 1))
 
     def incidence(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Face ids and signs of every j-cell, shape (n_j, width) each.
+        """Face ids and signs of every j-cell, shape (n_j, width) each, where
+        width is the longest boundary of a j-cell.
 
         Shorter boundaries are padded with sign-0 entries pointing at face 0.
         """
         key = ("incidence", j)
         if key not in self.cache:
-            n = self.num_cells(j)
-            width = self._width(j)
-            faces = np.zeros((n, width), dtype=np.int64)
-            signs = np.zeros((n, width), dtype=np.int64)
-            idx = self._index[j - 1]
-            # filled row by row: collecting every boundary list first raises
-            # the peak memory of a large box by a few percent
-            for row, cell in enumerate(self._cells[j]):
+            cells = self.cells(j)
+            width = max((len(self.boundary_of(c)) for c in cells), default=0)
+            faces = np.zeros((len(cells), width), dtype=np.int64)
+            signs = np.zeros((len(cells), width), dtype=np.int64)
+            for row, cell in enumerate(cells):
                 for k, (face, sign) in enumerate(self.boundary_of(cell)):
-                    faces[row, k] = idx[face]
+                    faces[row, k] = self.cell_id(face)
                     signs[row, k] = sign
             self.cache[key] = (faces, signs)
         return self.cache[key]
@@ -115,7 +107,8 @@ class CellComplex:
 
 
 class CubicalComplex(CellComplex):
-    """A finite box or discrete torus with all cells enumerated."""
+    """A finite box or discrete torus.  It stores no cells: ids, cells and
+    counts are computed from the id blocks of the direction sets."""
 
     def __init__(self, kind: str, d: int, widths=None, period=None):
         if d < 1:
@@ -136,36 +129,65 @@ class CubicalComplex(CellComplex):
             self.period = period
         else:
             raise InvalidDimension(f"unknown kind {kind!r}")
-        bases: dict = {}
-        super().__init__([self._enumerate(j, bases) for j in range(d + 1)])
+        super().__init__()
+        # one block of consecutive ids per direction set, the sets of a
+        # dimension in lexicographic order and the bases of a set in
+        # row-major order: per dimension, each set's first id and base shape
+        self._blocks: list[dict[tuple[int, ...], tuple[int, tuple[int, ...]]]] = []
+        self._counts: list[int] = []
+        for j in range(d + 1):
+            start, blocks = 0, {}
+            for dirs in itertools.combinations(range(d), j):
+                blocks[dirs] = (start, self._shape(dirs))
+                start += math.prod(blocks[dirs][1])
+            self._blocks.append(blocks)
+            self._counts.append(start)
 
-    def _base_range(self, axis: int, spanned: bool) -> range:
+    def _shape(self, dirs: tuple[int, ...]) -> tuple[int, ...]:
+        """Base ranges of the cells spanning `dirs`, one per axis."""
         if self.kind == "torus":
-            return range(self.period)
-        w = self.widths[axis]
-        return range(w) if spanned else range(w + 1)
-
-    def _enumerate(self, j: int, bases: dict) -> list[Cell]:
-        """The j-cells in id order; cells at one base corner, of any
-        dimension, share the base tuple kept in `bases`."""
-        out = []
-        for dirs in itertools.combinations(range(self.d), j):
-            spanned = set(dirs)
-            ranges = [self._base_range(k, k in spanned) for k in range(self.d)]
-            for base in itertools.product(*ranges):
-                out.append(Cell(base=bases.setdefault(base, base), dirs=dirs))
-        return out
+            return (self.period,) * self.d
+        return tuple(w if k in dirs else w + 1 for k, w in enumerate(self.widths))
 
     # -- cell bookkeeping ---------------------------------------------------
 
+    def num_cells(self, j: int) -> int:
+        return self._counts[j] if 0 <= j <= self.d else 0
+
     def cells(self, j: int) -> list[Cell]:
-        return self._cells[j]
+        """The j-cells in id order, built on each call."""
+        return [Cell(base, dirs) for dirs, (_, shape) in self._blocks[j].items()
+                for base in itertools.product(*map(range, shape))]
 
     def cell_id(self, cell: Cell) -> int:
-        return self._index[cell.dim][self.normalize(cell)]
+        """The first id of the cell's block plus the row-major index of its
+        base; KeyError for a cell the complex does not have."""
+        base, dirs = self.normalize(cell)
+        block = self._blocks[len(dirs)].get(dirs) if len(dirs) <= self.d else None
+        if block is None or len(base) != self.d:
+            raise KeyError(cell)
+        start, shape = block
+        offset = 0
+        for b, n in zip(base, shape):
+            # whole coordinates only: a base of 1.5 names no cell
+            if not 0 <= b < n or b % 1:
+                raise KeyError(cell)
+            offset = offset * n + b
+        return start + int(offset)
 
     def cell_at(self, j: int, idx: int) -> Cell:
-        return self._cells[j][idx]
+        """The cell with id idx; IndexError when there is none."""
+        idx = operator.index(idx)
+        if not 0 <= idx < self.num_cells(j):
+            raise IndexError(f"no {j}-cell has id {idx}")
+        for dirs, (start, shape) in reversed(self._blocks[j].items()):
+            if start <= idx:
+                break
+        offset, base = idx - start, []
+        for n in reversed(shape):
+            offset, b = divmod(offset, n)
+            base.append(b)
+        return Cell(tuple(base[::-1]), dirs)
 
     def normalize(self, cell: Cell) -> Cell:
         if self.kind == "torus":
@@ -192,36 +214,28 @@ class CubicalComplex(CellComplex):
             out.append((self.normalize(Cell(cell.base, sub)), -sign))
         return out
 
-    def _shape(self, dirs: tuple[int, ...]) -> tuple[int, ...]:
-        """Base ranges of the cells spanning `dirs`, one per axis."""
-        return tuple(len(self._base_range(k, k in dirs)) for k in range(self.d))
-
     def incidence(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """As `CellComplex.incidence`, read off the id layout instead of
-        `boundary_of`: the cells spanning one direction set take consecutive
-        ids, their bases in row-major order.  The tests keep it in step with
-        `boundary_of`.  The gauge tables, the face masks and
-        `measures.delta_cochain` read these lists; on a 12^3 box the per-cell
-        loop takes about 35 and 60-110 ms for j = 1 and 2, this read under 1 ms."""
+        """As `CellComplex.incidence`, read off the id blocks instead of
+        `boundary_of`.  The tests keep it in step with `boundary_of`.  The
+        gauge tables, the face masks and `measures.delta_cochain` read these
+        lists; on a 12^3 box the per-cell loop takes about 35 and 60-110 ms
+        for j = 1 and 2, this read under 1 ms."""
         if not 1 <= j <= self.d:
             raise InvalidDimension(f"{j}-cells have no incidence lists")
         key = ("incidence", j)
         if key not in self.cache:
-            first, start = {}, 0
-            for sub in itertools.combinations(range(self.d), j - 1):
-                first[sub] = start
-                start += int(np.prod(self._shape(sub)))
+            below = self._blocks[j - 1]
             blocks = []
-            for dirs in itertools.combinations(range(self.d), j):
-                base = np.indices(self._shape(dirs)).reshape(self.d, -1)
+            for dirs, (_, shape) in self._blocks[j].items():
+                base = np.indices(shape).reshape(self.d, -1)
                 cols = []
                 for u in dirs:
-                    sub = tuple(v for v in dirs if v != u)
+                    first, sub_shape = below[tuple(v for v in dirs if v != u)]
                     top = base.copy()
                     top[u] += 1
                     if self.kind == "torus":
                         top[u] %= self.period
-                    cols += [first[sub] + np.ravel_multi_index(corner, self._shape(sub))
+                    cols += [first + np.ravel_multi_index(corner, sub_shape)
                              for corner in (top, base)]
                 blocks.append(np.stack(cols, axis=1))
             faces = np.concatenate(blocks)
@@ -388,14 +402,29 @@ def boundary_chain(X, cell: Cell, q: int) -> Chain:
 # ---------------------------------------------------------------------------
 
 class ExplicitComplex(CellComplex):
-    """A finite cell complex given by named cells and signed boundaries."""
+    """A finite cell complex given by named cells and signed boundaries.
+    Names are unique across dimensions, as the boundary table needs."""
 
     def __init__(self, cell_names: Sequence[Sequence[str]],
                  boundary: dict[str, Sequence[tuple[str, int]]]):
         self.kind = "explicit"
         self.d = len(cell_names) - 1
         self._boundary = dict(boundary)
-        super().__init__([list(level) for level in cell_names])
+        self._cells = [list(level) for level in cell_names]
+        self._index = [{c: k for k, c in enumerate(level)} for level in self._cells]
+        super().__init__()
+
+    def num_cells(self, j: int) -> int:
+        return len(self._cells[j]) if 0 <= j <= self.d else 0
+
+    def cells(self, j: int) -> list[str]:
+        return self._cells[j]
+
+    def cell_id(self, name: str) -> int:
+        for index in self._index:
+            if name in index:
+                return index[name]
+        raise KeyError(name)
 
     def name_id(self, j: int, name: str) -> int:
         return self._index[j][name]

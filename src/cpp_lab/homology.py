@@ -8,11 +8,12 @@ eliminates bitsliced rows for q in {2, 3} (`gfq.gf2_ref_bits`,
 `gfq.gf3_ref_bits`) and a dense coboundary block for q >= 5 (`gfq.rref`),
 one row per open (i+1)-cell.  For i = 1 and q in {2, 3} on boxes and tori
 of period >= 2 with at least `_GAUGE_MIN_EDGES` edges it gauge-fixes the
-system instead (`_gauge_system`): a spanning forest of the P1 clusters
-takes the coboundaries dg of the 0-cochains constant on them, a peel
-forces most other edges to 0, both as rounds of word-parallel operations
-on per-direction bitsets, and only the rows left are eliminated.  Every Betti
-number is read off it: rank H^j = dim Z^j - (|C^(j-1)| - dim Z^(j-1)).
+system instead (`_gauge_system`): a spanning tree of the P1 clusters, read
+off their labels with no search, takes the coboundaries dg of the
+0-cochains constant on them, a peel forces most other edges to 0 in
+rounds of word-parallel operations on per-direction bitsets, and only the
+rows left are eliminated.  Every Betti number is read off it:
+rank H^j = dim Z^j - (|C^(j-1)| - dim Z^(j-1)).
 """
 from __future__ import annotations
 
@@ -92,8 +93,8 @@ def _pack_rows(coeffs: np.ndarray, shifts: np.ndarray, q: int) -> list:
 def _join(labels: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Union the nodes low[k] and high[k] for every k, from `labels` (each
     node's label, every label a root: labels[labels] = labels).  Hooks the
-    lower root of every join onto the higher one, then jumps pointers until
-    every label is a root again; each union ends labelled by its highest
+    higher root of every join onto the lower one, then jumps pointers until
+    every label is a root again; each union ends labelled by its lowest
     initial label (Shiloach-Vishkin)."""
     while True:
         a, b = labels[low], labels[high]
@@ -101,7 +102,7 @@ def _join(labels: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         if not apart.any():
             return labels
         low, high, a, b = low[apart], high[apart], a[apart], b[apart]
-        labels[np.minimum(a, b)] = np.maximum(a, b)
+        labels[np.maximum(a, b)] = np.minimum(a, b)
         while True:
             jumped = labels[labels]
             if np.array_equal(jumped, labels):
@@ -112,9 +113,13 @@ def _join(labels: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
 # The gauge path of `cocycle_system` (i = 1, q in {2, 3}) on complexes with
 # at least this many edges, a 10^3 box: the smallest box side at which it
 # was no slower than the elimination at (0.9, 0.1) and (0.5, 0.9) for
-# q = 2 and 3 (BENCH_gauge-fixed.json, "cutoff").  That was measured with
-# the elimination's row filter and a numpy forest and peel, both since
-# replaced; the cut-off stands until it is measured again on this path.
+# q = 2 and 3 (BENCH_gauge-fixed.json, "cutoff").  Measured again on the
+# closed-form tree (BENCH_gauge-tree.json, "cutoff"; spin draw, forced
+# gauge against the elimination, 6^3 to 9^3): the gauge path takes 0.03
+# to 0.32 of the elimination's time at (0.9, 0.1), but at (0.7, 0.1) it
+# is slower at every side but 8^3 for q = 3, by up to 3.2x (7^3, q = 2):
+# the peel stalls there (about 1000 residual rows at 9^3), so a lower
+# cut-off needs a rule that sees the density (ROADMAP item 15).
 _GAUGE_MIN_EDGES = 3630
 
 
@@ -159,29 +164,27 @@ def _unpack(bits: int, n: int) -> np.ndarray:
 class _GaugeTables(NamedTuple):
     """The per-complex tables of the gauge path on a box or torus: the tail
     and the head of every edge (boundary head - tail), the edges of every
-    2-cell and their signs, and the padded vertex layout of the bitset
-    rounds.  In the layout, bit u * n_0 + v holds the direction-u edge with
-    tail v and bit k * n_0 + v the 2-cell of direction pair `pairs[k]` with
-    base corner v; `edge_at` and `face_at` give the bit of every edge and
-    2-cell id (both increase with the id), and `present` the planes of the
-    bits that hold an edge.  The forest's candidate edges come as two
-    layouts, one after the other, the first with the edges whose far end
-    is their head and the second with those whose far end is their tail:
-    `far_at` gives that far vertex at each of their bits (0 where no edge
-    is) and `bit_at` the bit of the edge in one layout."""
+    2-cell and their signs, the gauge tree's tables and the padded vertex
+    layout of the peel.  `rank` numbers the vertices by closeness to the
+    centre vertex n_0 // 2 (L1 distance, wrapped on a torus, ties by id),
+    and toward[r] is the edge from the vertex of rank r > 0 one step
+    nearer the centre along its axis of largest offset (the lowest such
+    axis).  In the layout, bit u * n_0 + v holds the direction-u edge with
+    tail v and bit k * n_0 + v the 2-cell of direction pair `pairs[k]`
+    with base corner v; `edge_at` and `face_at` give the bit of every edge
+    and 2-cell id (both increase with the id)."""
 
     tail: np.ndarray
     head: np.ndarray
     edges: np.ndarray
     edge_signs: np.ndarray
     n0: int
+    rank: np.ndarray
+    toward: np.ndarray
     axes: tuple[_Axis, ...]
     pairs: tuple[tuple[int, int], ...]
     edge_at: np.ndarray
     face_at: np.ndarray
-    far_at: np.ndarray
-    bit_at: np.ndarray
-    present: tuple[int, ...]
 
 
 def _gauge_tables(X) -> _GaugeTables | None:
@@ -195,10 +198,10 @@ def _gauge_tables(X) -> _GaugeTables | None:
             d, n0 = X.d, X.num_cells(0)
             shape = np.array([w + 1 for w in X.widths] if X.period is None else [X.period] * d)
             strides = n0 // np.cumprod(shape)
+            coords = np.indices(shape).reshape(d, n0)
             if X.period is None:
                 axes = tuple(_Axis(int(s), 0, 0, 0, 0) for s in strides)
             else:
-                coords = np.arange(n0)[None, :] // strides[:, None] % shape[:, None]
                 axes = tuple(_Axis(int(s), int(s) * (X.period - 1), _pack(c < X.period - 1),
                                    _pack(c == X.period - 1), _pack(c == 0))
                              for s, c in zip(strides, coords))
@@ -216,87 +219,41 @@ def _gauge_tables(X) -> _GaugeTables | None:
             # the second face of a 2-cell is its bottom edge along the
             # later axis, whose tail is the base corner
             face_at = np.repeat(np.arange(len(pairs)) * n0, face_counts) + tail[edges[:, 1]]
-            head_at = np.zeros(d * n0, dtype=np.int64)
-            head_at[edge_at] = head
-            present = np.zeros(d * n0, dtype=bool)
-            present[edge_at] = True
-            bits = np.arange(d * n0)
-            tables = _GaugeTables(tail, head, edges, edge_signs, n0, axes, pairs, edge_at,
-                                  face_at, np.concatenate([head_at, bits % n0]),
-                                  np.concatenate([bits, bits]), tuple(_planes(present, n0)))
+            # offsets from the centre, wrapped into [-period // 2, period // 2) on a torus
+            offset = coords - coords[:, n0 // 2, None]
+            if X.period is not None:
+                offset = (offset + X.period // 2) % X.period - X.period // 2
+            order = np.argsort(np.abs(offset).sum(axis=0), kind="stable")
+            rank = np.empty(n0, dtype=np.int64)
+            rank[order] = np.arange(n0)
+            # the step nearer the centre along the axis of largest offset:
+            # down the edge whose head is v, or up the one whose tail is v
+            axis = np.abs(offset).argmax(axis=0)
+            down = offset[axis, np.arange(n0)] > 0
+            start = coords.copy()
+            start[axis, np.arange(n0)] -= down
+            edge_of = np.zeros(d * n0, dtype=np.int64)
+            edge_of[edge_at] = np.arange(len(edge_at))
+            toward = edge_of[axis * n0 + np.ravel_multi_index(start, shape, mode="wrap")]
+            tables = _GaugeTables(tail, head, edges, edge_signs, n0, rank, toward[order], axes,
+                                  pairs, edge_at, face_at)
         X.cache[key] = tables
     return X.cache[key]
 
 
-def _planes(flags: np.ndarray, n0: int) -> list[int]:
-    """Layout booleans as n_0-bit planes, plane k from bit k * n_0."""
-    whole, full = _pack(flags), (1 << n0) - 1
-    return [(whole >> (k * n0)) & full for k in range(len(flags) // n0)]
-
-
 def _to_layout(cells: np.ndarray, at: np.ndarray, count: int, n0: int) -> list[int]:
-    """Booleans over cell ids as `count` layout planes, the cell with id k
-    at bit at[k] of the layout."""
+    """Booleans over cell ids as `count` layout planes of n_0 bits, the
+    cell with id k at bit at[k] of the layout (plane at[k] // n_0)."""
     flags = np.zeros(count * n0, dtype=bool)
     flags[at] = cells
-    return _planes(flags, n0)
+    whole, full = _pack(flags), (1 << n0) - 1
+    return [(whole >> (k * n0)) & full for k in range(count)]
 
 
 def _set_bits(planes: list[int], n0: int) -> np.ndarray:
     """The set bits of layout planes, in increasing order."""
     whole = sum(plane << (k * n0) for k, plane in enumerate(planes))
     return np.flatnonzero(_unpack(whole, len(planes) * n0))
-
-
-def _forest(tables: _GaugeTables, opened: list[int], closed: list[int],
-            labels: np.ndarray) -> np.ndarray:
-    """The layout bits of the spanning tree of the clusters (their labels
-    from `_join`), from a BFS through the closed edges over vertex
-    bitsets.  Each level is the set of vertices one closed edge from the
-    last level that are not reached yet, closed under the open edges by
-    spreading until it stops changing; each cluster joins the tree through
-    the lowest-id closed edge from the last level into it."""
-    axes = tables.axes
-
-    def cluster(front: int) -> int:
-        while True:
-            grown = front
-            # each axis spreads what the last one reached
-            for axis, edges in zip(axes, opened):
-                grown |= _step(grown & edges, axis, True) | (_step(grown, axis, False) & edges)
-            if grown == front:
-                return front
-            front = grown
-
-    # complements are XORs with a known superset: `~` on a python int
-    # makes it negative, and a mask with it costs several plain ones
-    last = cluster(1 << tables.n0 // 2)
-    unreached = ((1 << tables.n0) - 1) ^ last
-    # the candidates whose far end is their head, and those whose far end
-    # is their tail
-    ahead, behind = [0] * len(axes), [0] * len(axes)
-    while True:
-        # the closed edges with their tail, and with their head, in the last level
-        tails = [last & edges for edges in closed]
-        heads = [_step(last, axis, False) & edges for axis, edges in zip(axes, closed)]
-        new = 0
-        for axis, out, into in zip(axes, tails, heads):
-            new |= _step(out, axis, True) | into
-        new &= unreached
-        if not new:
-            break
-        new = cluster(new)
-        for u, axis in enumerate(axes):
-            ahead[u] |= tails[u] & _step(new, axis, False)
-            behind[u] |= heads[u] & new
-        unreached ^= new
-        last = new
-    # the layout order is the id order
-    at = _set_bits(ahead + behind, tables.n0)
-    size = len(axes) * tables.n0
-    first = np.full(tables.n0, size)
-    np.minimum.at(first, labels[tables.far_at[at]], tables.bit_at[at])
-    return first[first < size]
 
 
 def _peel(tables: _GaugeTables, unknown: list[int], faces: list[int]) -> list[int]:
@@ -328,22 +285,25 @@ def _peel(tables: _GaugeTables, unknown: list[int], faces: list[int]) -> list[in
 
 
 def _gauge_fix(tables: _GaugeTables, bits2: int, bits1: int):
-    """The cluster labels of the open edges (`_join`), the layout bits of
-    the tree edges, the unknown edges W left by the peel (increasing ids)
-    and the residual rows (decreasing ids) of the gauge path; see
-    `_gauge_system`."""
+    """The cluster index of every vertex, the tree edges (increasing rank
+    of the cluster they leave), the unknown edges W left by the peel
+    (increasing ids) and the residual rows (decreasing ids) of the gauge
+    path; see `_gauge_system`."""
     n0, n1, d = tables.n0, len(tables.tail), len(tables.axes)
     open1 = _unpack(bits1, n1)
-    labels = _join(np.arange(n0), tables.tail[open1], tables.head[open1])
-    opened = _to_layout(open1, tables.edge_at, d, n0)
-    closed = [edges ^ o for edges, o in zip(tables.present, opened)]
-    tree = _forest(tables, opened, closed, labels)
-    flags = np.zeros(d * n0, dtype=bool)
-    flags[tree] = True
-    unknown = [c ^ t for c, t in zip(closed, _planes(flags, n0))]
+    # on rank-numbered vertices each cluster is labelled by its root, its
+    # vertex nearest the centre; the centre, rank 0, is the first root
+    labels = _join(np.arange(n0), tables.rank[tables.tail[open1]],
+                   tables.rank[tables.head[open1]])
+    roots = labels == np.arange(n0)
+    tree = tables.toward[np.flatnonzero(roots)[1:]]
+    closed = ~open1
+    closed[tree] = False
+    unknown = _to_layout(closed, tables.edge_at, d, n0)
     faces = _to_layout(_unpack(bits2, len(tables.edges)), tables.face_at, len(tables.pairs), n0)
     rows = _peel(tables, unknown, faces)
-    return (labels, tree, np.searchsorted(tables.edge_at, _set_bits(unknown, n0)),
+    return ((np.cumsum(roots) - 1)[labels][tables.rank], tree,
+            np.searchsorted(tables.edge_at, _set_bits(unknown, n0)),
             np.searchsorted(tables.face_at, _set_bits(rows, n0))[::-1])
 
 
@@ -390,22 +350,26 @@ def _gauge_system(X, q: int, bits2: int, bits1: int) -> CocycleSystem | None:
     P1 (vertices joined by open edges).  A spanning tree T of the clusters
     through closed edges fixes g up to a constant, so f = f' + dg is a
     bijection between Z^1(P2, P1) and the pairs (g mod constants, f') with
-    f' in Z^1(P2, P1) vanishing on T.  T comes from a BFS over the clusters
-    from the cluster of vertex n_0 // 2, each cluster reached through the
-    lowest-id edge that reaches it.  For f' the closed edges off T are
-    unknown; an open 2-cell with one unknown edge left forces it to 0, one
-    with none left is redundant (the elementary reductions of cubical
-    homology, Kaczynski-Mischaikow-Mrozek 2004).  The BFS levels and the
-    peel rounds are a few shifts, ANDs and ORs each on per-direction
-    bitsets of the vertex layout (`_forest`, `_peel`).  The open 2-cells
-    with two or more unknowns left are eliminated over the unknown edges W,
-    renumbered compactly, so dim = |T| + |W| - rank.
+    f' in Z^1(P2, P1) vanishing on T; any such tree fixes the gauge
+    (Creutz 1977).  T needs no search: label each cluster by its vertex
+    nearest the centre (`_join` on the ranks of `_gauge_tables`) and take
+    the `toward` edge of every such root but the centre's.  That edge is
+    closed, since its far end is nearer the centre and so in another
+    cluster, whose root is nearer still; so T joins every cluster to the
+    centre's.  For f' the closed edges off T are unknown; an open 2-cell
+    with one unknown edge left forces it to 0, one with none left is
+    redundant (the elementary reductions of cubical homology,
+    Kaczynski-Mischaikow-Mrozek 2004).  The peel rounds are a few shifts,
+    ANDs and ORs each on per-direction bitsets of the vertex layout
+    (`_peel`).  The open 2-cells with two or more unknowns left are
+    eliminated over the unknown edges W, renumbered compactly, so
+    dim = |T| + |W| - rank.
     """
     tables = _gauge_tables(X)
     if tables is None:
         return None
-    n0, n1 = X.num_cells(0), X.num_cells(1)
-    labels, tree, cells, rows = _gauge_fix(tables, bits2, bits1)
+    n1 = X.num_cells(1)
+    cluster, tree, cells, rows = _gauge_fix(tables, bits2, bits1)
     unknown = np.zeros(n1, dtype=bool)
     unknown[cells] = True
     width = len(cells)
@@ -416,8 +380,7 @@ def _gauge_system(X, q: int, bits2: int, bits1: int) -> CocycleSystem | None:
     coeffs = np.where(unknown[edges], tables.edge_signs[rows] % q, 0)
     packed = _pack_rows(coeffs, shift[edges], q)
     pivots = gfq.gf2_ref_bits(packed) if q == 2 else gfq.gf3_ref_bits(packed)
-    roots = labels == np.arange(n0)
-    gauge = _Gauge(cells, (np.cumsum(roots) - 1)[labels], int(roots.sum()), tables)
+    gauge = _Gauge(cells, cluster, len(tree) + 1, tables)
     return CocycleSystem(q, width, (1 << width) - 1, len(tree) + width - len(pivots),
                          pivots=pivots, gauge=gauge)
 

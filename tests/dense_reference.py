@@ -14,9 +14,9 @@ def boundary_matrix(X, j: int) -> np.ndarray:
     rows are (j-1)-cells, columns j-cells, and coincident faces (period-1
     tori) have their signs summed."""
     mat = np.zeros((X.num_cells(j - 1), X.num_cells(j)), dtype=np.int64)
-    for col, cell in enumerate(X._cells[j]):
+    for col, cell in enumerate(X.cells(j)):
         for face, sign in X.boundary_of(cell):
-            mat[X._index[j - 1][face], col] += sign
+            mat[X.cell_id(face), col] += sign
     return mat
 
 

@@ -1,7 +1,7 @@
 """Helpers that only the tests call: a chain's boundary, growing and
 comparing percolation subcomplexes, their JSON round trip, the
-general-gauge coupling (its weight and its conditional spin draw), and a
-numpy reference for the forest and the peel of the gauge path."""
+general-gauge coupling (its weight and its conditional spin draw), a
+numpy reference for the peel of the gauge path, and a plain union-find."""
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +9,7 @@ import numpy as np
 from cpp_lab.complexes import (Chain, CubicalComplex, PercSubcomplex, build_box,
                                build_torus, complex_to_json)
 from cpp_lab.errors import InvalidDimension, ValidationError
-from cpp_lab.homology import _join, _unpack
+from cpp_lab.homology import _unpack
 from cpp_lab.measures import ModelParams, _coupling_weight, delta_cochain
 from cpp_lab.sampler import resample_spins
 
@@ -103,45 +103,19 @@ def _distinct(ids: np.ndarray) -> np.ndarray:
     return ids[keep]
 
 
-def gauge_fix_reference(X, bits2: int, bits1: int):
-    """The forest and the peel of `homology._gauge_system`, one numpy round
-    per BFS level and per peel round, on the edge and 2-cell ids of a box
-    or torus: the tree edges (increasing ids), the unknown edges W left by
-    the peel (increasing ids) and the residual rows, the open 2-cells with
-    two or more unknown edges (decreasing ids)."""
-    n0, n1, n2 = X.num_cells(0), X.num_cells(1), X.num_cells(2)
-    ends, _ = X.incidence(1)
-    head, tail = ends.T
+def peel_reference(X, bits2: int, bits1: int, tree: np.ndarray):
+    """The peel of `homology._gauge_system` after the tree edges `tree`,
+    one numpy round per peel round, on the edge and 2-cell ids of a box or
+    torus: the unknown edges W left by the peel (increasing ids) and the
+    residual rows, the open 2-cells with two or more unknown edges
+    (decreasing ids)."""
+    n1, n2 = X.num_cells(1), X.num_cells(2)
     edges, _ = X.incidence(2)
-    star, cofaces = _incident(ends, n0)[:n0], _incident(edges, n1)
-    open1 = _unpack(bits1, n1)
-    labels = _join(np.arange(n0), tail[open1], head[open1])
-    # the forest; closed[n1] is the padding of the star table
-    closed = np.append(~open1, False)
-    reached = np.zeros(n0, dtype=bool)
-    level = labels[n0 // 2:n0 // 2 + 1]
-    tree = []
-    first = np.full(n0, n1)
-    while level.size:
-        reached[level] = True
-        frontier = np.zeros(n0, dtype=bool)
-        frontier[level] = True
-        near = star[np.flatnonzero(frontier[labels])].ravel()
-        near = near[closed[near]]
-        ends_t, ends_h = labels[tail[near]], labels[head[near]]
-        far = np.where(reached[ends_t], ends_h, ends_t)
-        new = ~reached[far]
-        near, far = near[new], far[new]
-        # each new cluster through the lowest-id edge that reaches it
-        np.minimum.at(first, far, near)
-        chosen = first[far] == near
-        tree.append(near[chosen])
-        level = far[chosen]
-    tree = np.sort(np.concatenate(tree))
-    unknown = closed
+    cofaces = _incident(edges, n1)
+    unknown = ~_unpack(bits1, n1)
     unknown[tree] = False
-    # the peel; count[n2] is the padding of the coface table, and the rows
-    # of closed 2-cells start at 0 and only fall
+    # count[n2] is the padding of the coface table, and the rows of closed
+    # 2-cells start at 0 and only fall
     as_int = unknown.view(np.uint8)
     count = np.zeros(n2 + 1, dtype=np.int64)
     count[:n2] = np.where(_unpack(bits2, n2), sum(as_int[slot] for slot in edges.T), 0)
@@ -152,4 +126,20 @@ def gauge_fix_reference(X, bits2: int, bits1: int):
         hit = cofaces[forced].ravel()
         np.subtract.at(count, hit, 1)
         rows = hit[count[hit] == 1]
-    return tree, np.flatnonzero(unknown), np.flatnonzero(count[:n2] >= 2)[::-1]
+    return np.flatnonzero(unknown), np.flatnonzero(count[:n2] >= 2)[::-1]
+
+
+def vertex_components(n0: int, ends) -> list[int]:
+    """A plain union-find over n0 vertices and the edges (tail, head) of
+    `ends`: the representative of every vertex."""
+    parent = list(range(n0))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in ends:
+        parent[find(a)] = find(b)
+    return [find(v) for v in range(n0)]

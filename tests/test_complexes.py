@@ -145,12 +145,43 @@ def test_exact_tables_live_in_the_single_cache():
     assert sorted(per_state, key=str) == [("pair_betti", 1, 2), ("vgamma", 1, 2, gamma.coeffs)]
 
 
+ROUND_TRIP_COMPLEXES = [build_box(1, [1]), build_box(1, [3]), build_box(2, [1, 3]),
+                        build_box(3, [2, 1, 2]), build_box(4, [1, 2, 1, 1]), build_torus(1, 1),
+                        build_torus(1, 2), build_torus(2, 1), build_torus(2, 2),
+                        build_torus(3, 1), build_torus(3, 2), build_torus(4, 1),
+                        build_torus(4, 2), build_torus(2, 3)]
+
+
 def test_cell_id_round_trip():
-    for X in (build_box(2, [2, 2]), build_torus(3, 2)):
+    """cells(j)[k], cell_id and cell_at agree with the documented id order
+    and with each other, and cell_counts with its length, on boxes and on
+    tori of periods 1 to 3 in d = 1 to 4."""
+    for X in ROUND_TRIP_COMPLEXES:
+        assert X.cell_counts() == tuple(len(reference_cells(X, j)) for j in range(X.d + 1))
         for j in range(X.d + 1):
-            for idx, cell in enumerate(X.cells(j)):
+            cells = X.cells(j)
+            assert cells == reference_cells(X, j)
+            for idx, cell in enumerate(cells):
                 assert X.cell_id(cell) == idx
                 assert X.cell_at(j, idx) == cell
+                if X.kind == "torus":
+                    # bases wrap round
+                    assert X.cell_id(X.translate(cell, (X.period,) * X.d)) == idx
+                    assert X.cell_id(Cell(tuple(b - X.period for b in cell.base),
+                                          cell.dirs)) == idx
+            for idx in (-1, len(cells)):
+                with pytest.raises(IndexError):
+                    X.cell_at(j, idx)
+
+
+@pytest.mark.parametrize("cell", [Cell((3, 0), (0,)), Cell((0, 4), ()), Cell((-1, 0), ()),
+                                  Cell((0, 0, 0), ()), Cell((0,), ()), Cell((0, 0), (1, 0)),
+                                  Cell((0, 0), (0, 0)), Cell((0, 0), (0, 1, 2)),
+                                  Cell((0, 0), (2,)), Cell((1.5, 0), ())])
+def test_cell_id_of_a_cell_outside_a_box_raises_key_error(cell):
+    # a missing cell is a KeyError, as when ids were a dict lookup
+    with pytest.raises(KeyError):
+        build_box(2, [3, 3]).cell_id(cell)
 
 
 def reference_cells(X, j):
@@ -169,21 +200,12 @@ def reference_cells(X, j):
 @pytest.mark.parametrize("X", [build_box(2, [2, 3]), build_box(3, [2, 1, 2]),
                                build_torus(2, 1), build_torus(3, 2), build_torus(2, 3),
                                build_torus(3, 3), build_box(1, [3]), build_torus(4, 2)])
-def test_cells_share_base_tuples_and_keep_ids_and_incidence(X):
-    corners = {cell.base: cell.base for cell in X.cells(0)}
-    for j in range(X.d + 1):
-        cells = reference_cells(X, j)
-        assert X.cells(j) == cells
-        for idx, cell in enumerate(cells):
-            assert X.cell_id(cell) == idx
-            assert X.cell_at(j, idx) == cell
-            # one base tuple per corner, shared by the cells of every dimension
-            assert X.cell_at(j, idx).base is corners[cell.base]
-        if j:
-            faces, signs = X.incidence(j)
-            for idx, cell in enumerate(cells):
-                bdry = [(X.cell_id(face), sign) for face, sign in X.boundary_of(cell)]
-                assert list(zip(faces[idx].tolist(), signs[idx].tolist())) == bdry
+def test_incidence_follows_boundary_of(X):
+    for j in range(1, X.d + 1):
+        faces, signs = X.incidence(j)
+        for idx, cell in enumerate(reference_cells(X, j)):
+            bdry = [(X.cell_id(face), sign) for face, sign in X.boundary_of(cell)]
+            assert list(zip(faces[idx].tolist(), signs[idx].tolist())) == bdry
 
 
 def test_bullet_dual_dimensions_and_directions():

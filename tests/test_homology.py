@@ -20,7 +20,7 @@ from cpp_lab.errors import BudgetExceeded, DimensionMismatch, DoesNotFit, TooLar
 from cpp_lab.measures import delta_cochain
 from cpp_lab.observables import rect_loop
 from dense_reference import boundary_matrix, cocycle_basis, cocycle_matrix, cocycle_sample
-from helpers import chain_boundary, gauge_fix_reference, with_cell
+from helpers import chain_boundary, peel_reference, vertex_components, with_cell
 
 
 def random_pair(X, i, rnd):
@@ -459,20 +459,41 @@ def cubical(kind: str, d: int, sides: tuple[int, ...]):
     return build_box(d, sides) if kind == "box" else build_torus(d, sides[0])
 
 
+@pytest.mark.parametrize("X", [build_box(3, [3, 2, 4]), build_torus(2, 4), build_torus(3, 3),
+                               build_torus(3, 2)])
+def test_gauge_tables_rank_by_distance_and_step_toward_the_centre(X):
+    """`rank` orders the vertices by L1 distance from vertex n_0 // 2,
+    wrapped on a torus, ties by id; toward[r] joins the vertex of rank r to
+    one a step nearer, along its lowest axis of largest offset."""
+    tables = homology._gauge_tables(X)
+    n0 = X.num_cells(0)
+    coords = np.array([X.cell_at(0, v).base for v in range(n0)])
+    offset = coords - coords[n0 // 2]
+    if X.kind == "torus":
+        offset = (offset + X.period // 2) % X.period - X.period // 2
+    dist = np.abs(offset).sum(axis=1)
+    order = sorted(range(n0), key=lambda v: (dist[v], v))
+    assert tables.rank[order].tolist() == list(range(n0))
+    for r, v in enumerate(order[1:], 1):
+        edge = int(tables.toward[r])
+        ends = {int(tables.tail[edge]), int(tables.head[edge])}
+        assert v in ends
+        assert dist[(ends - {v}).pop()] == dist[v] - 1
+        assert X.cell_at(1, edge).dirs == (int(np.abs(offset[v]).argmax()),)
+
+
 @st.composite
 def cubical_pairs(draw):
-    """A box of sides 1-5 or a torus of period 2-4 in d = 2 or 3, q, and a
-    pair drawn at p2 in [0.3, 1], p1 in [0, 0.9]: from many small clusters
-    to one giant one."""
-    d = draw(st.sampled_from([2, 3]))
+    """A box or a torus of period >= 2 in d = 2, 3 or 4 (sides 1-5, 1-4 and
+    1-2; periods 2-4, 2-4 and 2-3), q, and a skewed pair (`skewed_bits`)."""
+    d = draw(st.sampled_from([2, 3, 4]))
     if draw(st.booleans()):
-        X = cubical("torus", d, (draw(st.integers(2, 4)),))
+        X = cubical("torus", d, (draw(st.integers(2, 3 if d == 4 else 4)),))
     else:
-        X = cubical("box", d, tuple(draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))))
-    p2, p1 = draw(st.floats(0.3, 1.0)), draw(st.floats(0.0, 0.9))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    bits2 = gfq.vector_to_bits(rng.random(X.num_cells(2)) < p2)
-    bits1 = gfq.vector_to_bits(rng.random(X.num_cells(1)) < p1)
+        top = {2: 5, 3: 4, 4: 2}[d]
+        X = cubical("box", d, tuple(draw(st.lists(st.integers(1, top), min_size=d,
+                                                  max_size=d))))
+    bits2, bits1 = skewed_bits(draw, X.num_cells(2)), skewed_bits(draw, X.num_cells(1))
     return X, draw(st.sampled_from([2, 3])), bits2, bits1
 
 
@@ -482,14 +503,28 @@ def cubical_pairs(draw):
 @example((cubical("torus", 2, (2,)), 2, 0b1011, 0b10010011))
 @example((cubical("torus", 3, (2,)), 3, random.Random(7).getrandbits(24),
           random.Random(8).getrandbits(24)))
-def test_bitset_forest_and_peel_match_the_numpy_reference(case):
+@example((cubical("torus", 4, (2,)), 2, random.Random(9).getrandbits(96),
+          random.Random(10).getrandbits(64)))
+# every edge open: one cluster, no tree
+@example((cubical("box", 3, (2, 3, 2)), 3, 0, (1 << 75) - 1))
+def test_gauge_tree_spans_the_clusters_and_the_peel_matches_the_numpy_reference(case):
     X, q, bits2, bits1 = case
-    tree, cells, rows = gauge_fix_reference(X, bits2, bits1)
     tables = homology._gauge_tables(X)
-    _, got_tree, got_cells, got_rows = homology._gauge_fix(tables, bits2, bits1)
-    assert np.array_equal(np.searchsorted(tables.edge_at, np.sort(got_tree)), tree)
-    assert np.array_equal(got_cells, cells)
-    assert np.array_equal(got_rows, rows)
+    cluster, tree, cells, rows = homology._gauge_fix(tables, bits2, bits1)
+    n0, n1 = X.num_cells(0), X.num_cells(1)
+    ends, _ = X.incidence(1)
+    opened = gfq.bits_to_vector(bits1, n1).astype(bool)
+    assert not opened[tree].any()
+    clusters = vertex_components(n0, ends[opened].tolist())
+    assert len(tree) == len(set(clusters)) - 1
+    # `cluster` is the same partition, numbered from 0
+    assert len(set(zip(clusters, cluster.tolist()))) == len(set(clusters)) == cluster.max() + 1
+    spanning = opened.copy()
+    spanning[tree] = True
+    assert len(set(vertex_components(n0, ends[spanning].tolist()))) == 1
+    ref_cells, ref_rows = peel_reference(X, bits2, bits1, tree)
+    assert np.array_equal(cells, ref_cells)
+    assert np.array_equal(rows, ref_rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homology, "_GAUGE_MIN_EDGES", 0)
         X.cache.pop("cocycle_system", None)

@@ -175,10 +175,10 @@ STREAM_DIGESTS = {
     (2, "box", 6): "4b7dc625bcbe9a7743eadd1bc589978648c8aa8e8a9cf6c5847bdec3ba6d9704",
     (3, "box", 6): "9f2fab87d421a8e07ed39a2bb6655213c6ebae82dbfe5e96a90aaad9263bd07b",
     (5, "box", 4): "1daf90c2d5b81eab0e6f3bef3531249f35708ac5dc270336e78538448679ef18",
-    (2, "box", 12): "cf3e5eea99ddccd6b92052e8338fea482240d802c136a352178cc6a79bdc412f",
-    (3, "box", 12): "d7dd05f0c7c9d6250c87c0b83f62d10ae223c6831d3fdc632997bb8052cffb20",
-    (2, "torus", 11): "1349ef2c905f556e1b1ffbed5e14e4942b31dc6abe9265a8843e766a3cfd7662",
-    (3, "torus", 11): "f720f0ffd187cdcd46dba2bdb7978facb635a9c3eefaf66b42b275981439b413",
+    (2, "box", 12): "56401c91f183be5e5072baec6cb57eb8dd8df011cc6ed3565bf9182e593f7034",
+    (3, "box", 12): "f80a78ebe43d38d3a10b2e13fe609946cdc544c7e13123dae46fc97016c598e4",
+    (2, "torus", 11): "4f6afba5b1f038c4793882a0eb9b16cf6ccc7e5af630281e30a30d6b18e64996",
+    (3, "torus", 11): "f65160551fbe4b9f8c2588e3216f362568e6a9c8f12587daa388f8bf787e8a59",
 }
 
 
